@@ -225,13 +225,17 @@ fn main() {
         println!("access-count check against {path} (Full scale)");
         match report::access_count_drift(&path, Scale::Full) {
             Ok(drift) if drift.is_empty() => {
-                println!("  every sorted/random access count matches");
+                println!(
+                    "  every sorted/random access count and bound-recomputation count matches"
+                );
             }
             Ok(drift) => {
                 for line in drift {
                     eprintln!("  DRIFT: {line}");
                 }
-                eprintln!("  access counts changed — a perf refactor must only move wall_secs");
+                eprintln!(
+                    "  access or work counts changed — a perf refactor must only move wall_secs"
+                );
                 failed = true;
             }
             Err(e) => {

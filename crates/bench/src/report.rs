@@ -7,8 +7,9 @@
 //! records as JSON (hand-rolled — the build environment is offline, so no
 //! serde) and [`write_json`] writes the standard artifact.
 //! [`access_count_drift`] is the CI referee: it re-measures the grid and
-//! reports any `sorted`/`random` count that differs from the recorded
-//! artifact (perf work may move `wall_secs`, never the access sequence).
+//! reports any `sorted`/`random`/`bound_recomputations` count that differs
+//! from the recorded artifact (perf work may move `wall_secs`, never the
+//! access sequence or the engine's exact-run bookkeeping work).
 
 use std::time::Instant;
 
@@ -38,6 +39,10 @@ pub struct PerfRecord {
     pub sorted: u64,
     /// Random accesses performed.
     pub random: u64,
+    /// Bound (`W`/`B`) evaluations the engine performed
+    /// ([`fagin_core::RunMetrics::bound_recomputations`]): deterministic,
+    /// so a bookkeeping blow-up shows here with no wall-clock noise.
+    pub bound_recomputations: u64,
     /// Wall-clock seconds for one steady-state run: the timed executions
     /// lease a warmed run arena and a reset session, exactly like a
     /// serving worker's second-and-later queries (best of two timed runs,
@@ -146,6 +151,7 @@ fn measure_grid(workloads: &[(&'static str, Database)]) -> Vec<PerfRecord> {
                 k,
                 sorted: out.stats.sorted_total(),
                 random: out.stats.random_total(),
+                bound_recomputations: out.metrics.bound_recomputations,
                 wall_secs,
             });
         }
@@ -192,6 +198,9 @@ pub struct AnytimeRecord {
     pub sorted: u64,
     /// Random accesses performed.
     pub random: u64,
+    /// Bound evaluations the engine performed (as in [`PerfRecord`]); on
+    /// capped rows this includes the per-round certificate work.
+    pub bound_recomputations: u64,
     /// Wall-clock seconds (warmed arena, best of two timed runs, like
     /// [`perf_matrix`]).
     pub wall_secs: f64,
@@ -304,6 +313,7 @@ pub fn anytime_matrix(scale: Scale) -> Vec<AnytimeRecord> {
                 guarantee: exact.metrics.approximation_guarantee,
                 sorted: exact.stats.sorted_total(),
                 random: exact.stats.random_total(),
+                bound_recomputations: exact.metrics.bound_recomputations,
                 wall_secs: exact_wall,
             });
             for theta in [1.1, 1.5, 2.0] {
@@ -326,6 +336,7 @@ pub fn anytime_matrix(scale: Scale) -> Vec<AnytimeRecord> {
                     guarantee,
                     sorted: out.stats.sorted_total(),
                     random: out.stats.random_total(),
+                    bound_recomputations: out.metrics.bound_recomputations,
                     wall_secs,
                 });
             }
@@ -369,6 +380,7 @@ pub fn anytime_matrix(scale: Scale) -> Vec<AnytimeRecord> {
                     guarantee,
                     sorted: out.stats.sorted_total(),
                     random: out.stats.random_total(),
+                    bound_recomputations: out.metrics.bound_recomputations,
                     wall_secs,
                 });
             }
@@ -637,7 +649,8 @@ pub fn to_json(
         written += 1;
         s.push_str(&format!(
             "  {{\"algorithm\": \"{}\", \"workload\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"k\": {}, \"sorted\": {}, \"random\": {}, \"wall_secs\": {:.6}}}{}\n",
+             \"k\": {}, \"sorted\": {}, \"random\": {}, \"bound_recomputations\": {}, \
+             \"wall_secs\": {:.6}}}{}\n",
             escape(&r.algorithm),
             escape(&r.workload),
             r.n,
@@ -645,6 +658,7 @@ pub fn to_json(
             r.k,
             r.sorted,
             r.random,
+            r.bound_recomputations,
             r.wall_secs,
             if written < total { "," } else { "" }
         ));
@@ -692,7 +706,8 @@ pub fn to_json(
         s.push_str(&format!(
             "  {{\"algorithm\": \"{}\", \"workload\": \"{}\", \"n\": {}, \"m\": {}, \
              \"mode\": \"{}\", \"theta\": {:.2}, \"guarantee\": {:.4}, \
-             \"sorted\": {}, \"random\": {}, \"wall_secs\": {:.6}}}{}\n",
+             \"sorted\": {}, \"random\": {}, \"bound_recomputations\": {}, \
+             \"wall_secs\": {:.6}}}{}\n",
             escape(&r.algorithm),
             escape(&r.workload),
             r.n,
@@ -702,6 +717,7 @@ pub fn to_json(
             r.guarantee,
             r.sorted,
             r.random,
+            r.bound_recomputations,
             r.wall_secs,
             if written < total { "," } else { "" }
         ));
@@ -727,10 +743,11 @@ pub fn write_json(path: &str, scale: Scale) -> std::io::Result<usize> {
 ///
 /// Returns one human-readable line per drifted cell (empty = no drift), or
 /// `Err` when the file is missing/unparsable or the grids don't line up.
-/// Only the *algorithm* rows are compared: their access counts are
-/// deterministic functions of the workload seeds, so any drift means an
-/// algorithm's access sequence changed — exactly what a perf refactor must
-/// never do. Service rows are excluded (their totals depend on worker
+/// Only the *algorithm* rows are compared: their access counts and bound
+/// recomputations are deterministic functions of the workload seeds, so
+/// any drift means an algorithm's access sequence, or the bookkeeping work
+/// of an exact run, changed — exactly what a perf refactor must never do
+/// silently. Service rows are excluded (their totals depend on worker
 /// scheduling races against the cache), cold-start rows are excluded
 /// (pure wall-clock), and so is `wall_secs` (that is the row that is
 /// *supposed* to change).
@@ -742,7 +759,8 @@ pub fn write_json(path: &str, scale: Scale) -> std::io::Result<usize> {
 /// in-memory row still matches.
 pub fn access_count_drift(path: &str, scale: Scale) -> Result<Vec<String>, String> {
     let recorded = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut want: Vec<(String, String, [u64; 5])> = Vec::new();
+    const KEYS: [&str; 6] = ["n", "m", "k", "sorted", "random", "bound_recomputations"];
+    let mut want: Vec<(String, String, [u64; 6])> = Vec::new();
     for line in recorded.lines() {
         // Algorithm rows carry "k"; service rows carry "queries".
         if !line.contains("\"algorithm\"") || !line.contains("\"k\":") {
@@ -752,8 +770,8 @@ pub fn access_count_drift(path: &str, scale: Scale) -> Result<Vec<String>, Strin
             .ok_or_else(|| format!("{path}: row without algorithm: {line}"))?;
         let workload = json_str_field(line, "workload")
             .ok_or_else(|| format!("{path}: row without workload: {line}"))?;
-        let mut nums = [0u64; 5];
-        for (slot, key) in nums.iter_mut().zip(["n", "m", "k", "sorted", "random"]) {
+        let mut nums = [0u64; 6];
+        for (slot, key) in nums.iter_mut().zip(KEYS) {
             *slot = json_u64_field(line, key)
                 .ok_or_else(|| format!("{path}: row without {key}: {line}"))?;
         }
@@ -787,8 +805,15 @@ pub fn access_count_drift(path: &str, scale: Scale) -> Result<Vec<String>, Strin
                 ));
                 continue;
             };
-            let got = [r.n as u64, r.m as u64, r.k as u64, r.sorted, r.random];
-            for (i, key) in ["n", "m", "k", "sorted", "random"].iter().enumerate() {
+            let got = [
+                r.n as u64,
+                r.m as u64,
+                r.k as u64,
+                r.sorted,
+                r.random,
+                r.bound_recomputations,
+            ];
+            for (i, key) in KEYS.iter().enumerate() {
                 if nums[i] != got[i] {
                     drift.push(format!(
                         "{label}{} on {}: {key} recorded {} but measured {}",
@@ -1354,6 +1379,7 @@ mod tests {
                 k: 1,
                 sorted: 5,
                 random: 4,
+                bound_recomputations: 12,
                 wall_secs: 0.001,
             },
             PerfRecord {
@@ -1364,6 +1390,7 @@ mod tests {
                 k: 1,
                 sorted: 9,
                 random: 0,
+                bound_recomputations: 30,
                 wall_secs: 0.002,
             },
         ];
@@ -1373,6 +1400,7 @@ mod tests {
         assert_eq!(json.matches('}').count(), 2);
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"sorted\": 9"));
+        assert!(json.contains("\"bound_recomputations\": 30"));
         // Exactly one separating comma between the two objects.
         assert_eq!(json.matches("},").count(), 1);
     }
@@ -1404,6 +1432,23 @@ mod tests {
         assert!(drift.iter().all(|d| d.contains("sorted")));
         assert!(drift.iter().any(|d| d.starts_with("store-backed: ")));
 
+        // The work counter is refereed exactly, like the access counts.
+        let corrupted = json.replacen(
+            &format!(
+                "\"bound_recomputations\": {}",
+                records[0].bound_recomputations
+            ),
+            &format!(
+                "\"bound_recomputations\": {}",
+                records[0].bound_recomputations + 1
+            ),
+            1,
+        );
+        std::fs::write(&path, corrupted).unwrap();
+        let drift = access_count_drift(&path, Scale::Quick).unwrap();
+        assert_eq!(drift.len(), 2, "{drift:?}");
+        assert!(drift.iter().all(|d| d.contains("bound_recomputations")));
+
         // A missing artifact is an error, not silence.
         assert!(access_count_drift("/nonexistent/bench.json", Scale::Quick).is_err());
         let _ = std::fs::remove_file(&path);
@@ -1419,6 +1464,7 @@ mod tests {
             k: 1,
             sorted: 5,
             random: 4,
+            bound_recomputations: 12,
             wall_secs: 0.001,
         }];
         let service = vec![ServicePerfRecord {

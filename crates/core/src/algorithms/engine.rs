@@ -655,12 +655,28 @@ impl<'a> BoundEngine<'a> {
     /// The *achieved* approximation guarantee `θ̂` of the current
     /// selection: the smallest factor for which every selected `y` and
     /// unselected `z` satisfy `θ̂·t(y) ≥ t(z)`, computed from the live
-    /// bounds as `max_outside_B / M_k` (clamped to ≥ 1). Selected objects
-    /// have `t ≥ W ≥ M_k`; live outsiders are bounded by the exact maximum
-    /// `B` (a lazy drain of the stale-`B` heap, mirroring
-    /// [`Self::best_viable_incomplete`]); unseen objects contribute the
-    /// threshold `τ`; evicted objects had `B < M_k` and are covered for
-    /// free.
+    /// bounds as `B_max / M_k` (clamped to ≥ 1). Selected objects have
+    /// `t ≥ W ≥ M_k`; unseen objects contribute the threshold `τ`; evicted
+    /// objects had `B < M_k` and are covered for free. `B_max`, the exact
+    /// largest `B` over live outsiders and `τ`, is found in the first of
+    /// these ways that applies; each gives the same value, so `θ̂` never
+    /// depends on the path:
+    ///
+    /// * **`M_k = 0` with `τ > 0`**: `B_max ≥ τ > 0 = M_k` already rules a
+    ///   certificate out; no bound is evaluated. (Under Min, `W = 0` until
+    ///   a candidate is complete, so this is every round before `k`
+    ///   objects are fully seen.)
+    /// * **Stale-`B` heap top `≤ τ`**: stored bounds over-estimate every
+    ///   live candidate's `B`, so `B_max = τ`; no bound is evaluated.
+    /// * **Separable index** (CA with Min/Max, see
+    ///   [`Self::tracking_incomplete`]): one exact `B` evaluation per
+    ///   occupied missing-mask group, on the best-scored member outside
+    ///   `T_k` ([`Self::group_maxima`]). Complete outsiders are skipped:
+    ///   their `B = W ≤ M_k` cannot lift the ratio above 1.
+    /// * **Otherwise**: a lazy drain of the stale-`B` heap
+    ///   ([`Self::drain_outsider_max`]), mirroring
+    ///   [`Self::best_viable_incomplete`]: `O(candidates above τ)` bound
+    ///   evaluations in the worst round.
     ///
     /// `None` when the state cannot certify yet: the selection is not full
     /// while unseen objects remain, or `M_k = 0` with a non-zero outsider
@@ -672,11 +688,37 @@ impl<'a> BoundEngine<'a> {
             return None;
         }
         let m_k = self.s.sel.m_k;
-        let mut max_outside = if self.seen < num_objects {
+        let floor = if self.seen < num_objects {
             self.threshold()
         } else {
             Grade::ZERO
         };
+        if m_k == Grade::ZERO && floor > Grade::ZERO {
+            return None;
+        }
+        let max_outside = if self.s.b_heap.peek().is_none_or(|top| top.0 <= floor) {
+            floor
+        } else if self.separable {
+            self.group_maxima(true).map_or(floor, |b| b.max(floor))
+        } else {
+            self.drain_outsider_max(floor)
+        };
+        if m_k == Grade::ZERO {
+            return (max_outside == Grade::ZERO).then_some(1.0);
+        }
+        Some(crate::anytime::certified_ratio(
+            max_outside.value(),
+            m_k.value(),
+        ))
+    }
+
+    /// The exact largest `B` over live outsiders of `T_k`, or `floor` if
+    /// none exceeds it: pops the stale-`B` heap while its top is above the
+    /// running maximum and refreshes each live outsider; the first refresh
+    /// that confirms its stored bound is the maximum (stored bounds only
+    /// over-estimate). `T_k` members are parked and re-filed afterwards.
+    fn drain_outsider_max(&mut self, floor: Grade) -> Grade {
+        let mut max_outside = floor;
         let mut parked = std::mem::take(&mut self.s.parked);
         loop {
             let HeapEntry(key, Reverse(object)) = {
@@ -709,13 +751,7 @@ impl<'a> BoundEngine<'a> {
         let s = &mut *self.s;
         s.b_heap.extend(parked.drain(..));
         s.parked = parked;
-        if m_k == Grade::ZERO {
-            return (max_outside == Grade::ZERO).then_some(1.0);
-        }
-        Some(crate::anytime::certified_ratio(
-            max_outside.value(),
-            m_k.value(),
-        ))
+        max_outside
     }
 
     /// Permanently drops a candidate that the viability rule proved dead.
@@ -834,34 +870,12 @@ impl<'a> BoundEngine<'a> {
     /// id-ascending (probe for an early small-id tie) and stops at
     /// whichever concludes first.
     fn best_viable_separable(&mut self) -> Option<ObjectId> {
-        let mut mask_keys = std::mem::take(&mut self.s.mask_keys);
-        let mut tied_masks = std::mem::take(&mut self.s.tied_masks);
-        mask_keys.clear();
-        tied_masks.clear();
-        mask_keys.extend(self.s.groups.keys().copied());
-        let mut b_max: Option<Grade> = None;
-        for &mask in &mask_keys {
-            // Detach the group so the scans can refresh bounds through
-            // `&mut self`; reattach when done.
-            let mut group = self.s.groups.remove(&mask).expect("occupied mask");
-            let leader = self.group_leader(&mut group, mask);
-            let b = self.b_of(leader);
-            self.s.groups.insert(mask, group);
-            tied_masks.push((mask, b));
-            b_max = Some(b_max.map_or(b, |x: Grade| x.max(b)));
-        }
-        mask_keys.clear();
-        self.s.mask_keys = mask_keys;
-        let Some(b_max) = b_max else {
-            self.s.tied_masks = tied_masks;
-            return None;
-        };
+        let b_max = self.group_maxima(false)?;
         let (full, m_k) = (self.s.sel.full, self.s.sel.m_k);
         if full && b_max <= m_k {
-            tied_masks.clear();
-            self.s.tied_masks = tied_masks;
             return None;
         }
+        let mut tied_masks = std::mem::take(&mut self.s.tied_masks);
         let mut winner: Option<ObjectId> = None;
         for &(mask, b) in &tied_masks {
             if b != b_max {
@@ -877,21 +891,69 @@ impl<'a> BoundEngine<'a> {
         winner
     }
 
-    /// The group's score leader (largest score, smallest id among ties):
-    /// the member attaining the group's largest `B`. Pops invalidated
-    /// snapshots for good; every member keeps a valid snapshot, so the
-    /// leader's is always found.
-    fn group_leader(&mut self, group: &mut ScoreGroup, mask: u64) -> ObjectId {
-        loop {
-            let &HeapEntry(score, Reverse(o)) = group
-                .by_score
-                .peek()
-                .expect("occupied group has a valid snapshot");
-            if Self::is_member(&self.s, mask, o) && self.s.rows.payload(o.index()).score == score {
-                return o;
+    /// The largest `B` of each occupied missing-mask group, one exact
+    /// evaluation per group on its [`Self::group_leader`], skipping `T_k`
+    /// members when `outsiders_only`. Leaves `(mask, B)` per evaluated
+    /// group in `tied_masks` and returns the overall maximum (`None` when
+    /// no group has a member to evaluate).
+    fn group_maxima(&mut self, outsiders_only: bool) -> Option<Grade> {
+        let mut mask_keys = std::mem::take(&mut self.s.mask_keys);
+        mask_keys.clear();
+        self.s.tied_masks.clear();
+        mask_keys.extend(self.s.groups.keys().copied());
+        let mut b_max: Option<Grade> = None;
+        for &mask in &mask_keys {
+            // Detach the group so the scans can refresh bounds through
+            // `&mut self`; reattach when done.
+            let mut group = self.s.groups.remove(&mask).expect("occupied mask");
+            let leader = self.group_leader(&mut group, mask, outsiders_only);
+            self.s.groups.insert(mask, group);
+            if let Some(leader) = leader {
+                let b = self.b_of(leader);
+                self.s.tied_masks.push((mask, b));
+                b_max = Some(b_max.map_or(b, |x: Grade| x.max(b)));
             }
-            group.by_score.pop();
         }
+        mask_keys.clear();
+        self.s.mask_keys = mask_keys;
+        b_max
+    }
+
+    /// The group's score leader (largest score, smallest id among ties),
+    /// passing over `T_k` members when `outsiders_only`: the member
+    /// attaining the largest `B` among those considered. Pops invalidated
+    /// snapshots for good and re-files the passed-over ones; every member
+    /// keeps a valid snapshot, so the leader is `None` only when every
+    /// member is in `T_k`.
+    fn group_leader(
+        &mut self,
+        group: &mut ScoreGroup,
+        mask: u64,
+        outsiders_only: bool,
+    ) -> Option<ObjectId> {
+        let mut passed = std::mem::take(&mut self.s.popped_scores);
+        passed.clear();
+        let leader = loop {
+            let Some(&HeapEntry(score, Reverse(o))) = group.by_score.peek() else {
+                break None;
+            };
+            let valid =
+                Self::is_member(&self.s, mask, o) && self.s.rows.payload(o.index()).score == score;
+            if valid && !(outsiders_only && self.s.sel.contains(o)) {
+                break Some(o);
+            }
+            let entry = group.by_score.pop().expect("peeked");
+            if valid {
+                passed.push(entry); // a T_k member: re-filed below
+            }
+        };
+        debug_assert!(
+            leader.is_some() || outsiders_only,
+            "occupied group has a valid snapshot"
+        );
+        group.by_score.extend(passed.drain(..));
+        self.s.popped_scores = passed;
+        leader
     }
 
     /// Smallest id in `group` whose current `B` equals `b_max` (the group
@@ -1561,6 +1623,167 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Brute-force reference for [`BoundEngine::certificate`]: `τ` (0 once
+    /// every object is seen), the exact `B` of every live candidate outside
+    /// `T_k`, the `M_k = 0` rule and `certified_ratio`. Bounds are
+    /// evaluated straight off the row table, so the reference neither
+    /// counts recomputations nor touches a heap.
+    fn reference_certificate(e: &mut BoundEngine<'_>, n: usize) -> Option<f64> {
+        if e.s.sel.top.is_empty() || (!e.s.sel.full && e.seen < n) {
+            return None;
+        }
+        let mut max_outside = if e.seen < n {
+            e.threshold()
+        } else {
+            Grade::ZERO
+        };
+        let mut scratch = Vec::new();
+        for idx in 0..n {
+            if e.s.rows.is_live(idx) && !e.s.sel.contains(ObjectId(idx as u32)) {
+                let b = e.s.rows.b(idx, e.agg, &e.s.bottoms, &mut scratch);
+                max_outside = max_outside.max(b);
+            }
+        }
+        let m_k = e.s.sel.m_k;
+        if m_k == Grade::ZERO {
+            return (max_outside == Grade::ZERO).then_some(1.0);
+        }
+        Some(crate::anytime::certified_ratio(
+            max_outside.value(),
+            m_k.value(),
+        ))
+    }
+
+    /// Steps NRA-style rounds (`h = None`) or CA-style rounds with a
+    /// random-access phase every `h` rounds through a bare engine, the way
+    /// the drive loops do, and asserts after the sorted phase and again
+    /// after the random-access phase and halting test that `certificate`
+    /// equals the reference bit for bit. Returns how many certificates
+    /// were `Some`.
+    fn certificates_match_reference(
+        db: &Database,
+        agg: &dyn Aggregation,
+        k: usize,
+        strategy: BookkeepingStrategy,
+        batch: usize,
+        h: Option<u64>,
+    ) -> usize {
+        let (n, m) = (db.num_objects(), db.num_lists());
+        let mut scratch = EngineScratch::default();
+        let mut engine = BoundEngine::new_in(agg, m, k, strategy, &mut scratch);
+        if h.is_some() {
+            engine = engine.tracking_incomplete();
+        }
+        let mut mw = Session::new(db);
+        let (mut buf, mut missing) = (Vec::new(), Vec::new());
+        let mut exhausted = vec![false; m];
+        let mut certified = 0;
+        let mut check = |engine: &mut BoundEngine<'_>, round: u64, at: &str| {
+            let want = reference_certificate(engine, n);
+            let got = engine.certificate(n);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{} k={k} {strategy:?} b={batch} h={h:?} round {round} ({at}): \
+                 got {got:?}, reference {want:?}",
+                agg.name()
+            );
+            certified += usize::from(got.is_some());
+        };
+        for round in 1u64.. {
+            for (list, done) in exhausted.iter_mut().enumerate() {
+                if *done {
+                    continue;
+                }
+                buf.clear();
+                if mw.sorted_next_batch(list, batch, &mut buf).unwrap() == 0 {
+                    *done = true;
+                } else {
+                    engine.observe_sorted_batch(list, &buf);
+                }
+            }
+            engine.refresh_selection();
+            check(&mut engine, round, "sorted phase");
+            if h.is_some_and(|h| round.is_multiple_of(h)) {
+                if let Some(object) = engine.best_viable_incomplete() {
+                    engine.missing_fields_into(object, &mut missing);
+                    for &list in &missing {
+                        let grade = mw.random_lookup(list, object).unwrap();
+                        engine.learn_random(object, list, grade);
+                    }
+                    engine.refresh_selection();
+                }
+            }
+            let halted = engine.check_halt(n);
+            check(&mut engine, round, "round boundary");
+            if halted || exhausted.iter().all(|&e| e) {
+                break;
+            }
+        }
+        certified
+    }
+
+    /// A seeded `n × m` instance: `shape` 0 is uniform, 1 is skewed
+    /// (Zipf-like, most grades near 0), 2 draws from eight levels so ties
+    /// are everywhere, 3 anticorrelates list 1 with list 0, and 4 is
+    /// sparse (80% zeros, so Min runs end with `M_k = 0` and `τ = 0`).
+    fn seeded_instance(n: usize, m: usize, shape: u32, seed: u64) -> Database {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut cols: Vec<Vec<f64>> = (0..m)
+            .map(|_| {
+                (0..n)
+                    .map(|_| match shape {
+                        1 => next().powi(4),
+                        2 => (next() * 8.0).floor() / 8.0,
+                        4 if next() < 0.8 => 0.0,
+                        _ => next(),
+                    })
+                    .collect()
+            })
+            .collect();
+        if shape == 3 {
+            let (first, rest) = cols.split_at_mut(1);
+            for (x1, &x0) in rest[0].iter_mut().zip(&first[0]) {
+                *x1 = (1.0 - x0 + 0.1 * next()).clamp(0.0, 1.0);
+            }
+        }
+        Database::from_f64_columns(&cols).unwrap()
+    }
+
+    #[test]
+    fn certificate_equals_brute_force_reference_at_every_round() {
+        let aggs: [&dyn Aggregation; 4] = [&Min, &Max, &Average, &Sum];
+        let mut certified = 0;
+        for (seed, m) in [(1u64, 3usize), (2, 2)] {
+            for shape in 0..5 {
+                let db = seeded_instance(120, m, shape, seed);
+                for agg in aggs {
+                    for strategy in [
+                        BookkeepingStrategy::Exhaustive,
+                        BookkeepingStrategy::LazyHeap,
+                    ] {
+                        for k in [1usize, 3, 10] {
+                            for batch in [1usize, 4] {
+                                for h in [None, Some(1), Some(3)] {
+                                    certified += certificates_match_reference(
+                                        &db, agg, k, strategy, batch, h,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(certified > 0, "no round ever certified");
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub struct SlowQuery {
     pub random_accesses: u64,
     /// Middleware cost under the request's cost model.
     pub cost: f64,
+    /// `W`/`B` bound evaluations the engine performed
+    /// ([`fagin_core::RunMetrics::bound_recomputations`]): the
+    /// deterministic bookkeeping-work counter that exposes a blow-up the
+    /// access counts cannot show.
+    pub bound_recomputations: u64,
 }
 
 /// The preallocated top-N-by-latency log.
@@ -110,6 +115,8 @@ pub(crate) struct Recorder {
     sorted_time: Histogram,
     /// Time a query spent inside timed random-lookup batches, nanoseconds.
     random_time: Histogram,
+    /// Engine bound evaluations per executed run.
+    bound_recomputations: Histogram,
     slow: Mutex<SlowLog>,
 }
 
@@ -134,6 +141,7 @@ impl Recorder {
             round_duration: Histogram::new(),
             sorted_time: Histogram::new(),
             random_time: Histogram::new(),
+            bound_recomputations: Histogram::new(),
             slow: Mutex::new(SlowLog::new()),
         }
     }
@@ -189,6 +197,12 @@ impl Recorder {
     /// Total timed random-lookup time of one query, from the flight record.
     pub(crate) fn record_random_time(&self, nanos: u64) {
         self.random_time.record(nanos);
+    }
+
+    /// The engine's bound evaluations for one executed run (cache hits and
+    /// coalesced rides execute nothing and record nothing).
+    pub(crate) fn record_bound_recomputations(&self, count: u64) {
+        self.bound_recomputations.record(count);
     }
 
     /// Offers a completed query to the slow-query log (kept iff it ranks
@@ -414,6 +428,13 @@ impl Recorder {
             &self.random_time.snapshot(),
             1e9,
         );
+        histogram(
+            &mut out,
+            "fagin_bound_recomputations",
+            "Engine bound (W/B) evaluations per executed run.",
+            &self.bound_recomputations.snapshot(),
+            1.0,
+        );
         out
     }
 }
@@ -608,6 +629,7 @@ mod tests {
             sorted_accesses: 30,
             random_accesses: 60,
             cost: 90.0,
+            bound_recomputations: 120,
         };
         // Overfill with ascending latencies: only the slowest survive.
         for i in 0..(SLOW_LOG_CAPACITY as u64 + 10) {
@@ -638,6 +660,7 @@ mod tests {
         r.record_round_duration(50_000);
         r.record_sorted_time(40_000);
         r.record_random_time(10_000);
+        r.record_bound_recomputations(4_321);
         r.add_fault_counts(3, 2, 1);
         let m = r.snapshot();
         let text = r.metrics_text(&m);
@@ -657,11 +680,14 @@ mod tests {
         assert_eq!(find("fagin_query_cost_count").value, 2.0);
         assert_eq!(find("fagin_query_latency_seconds_count").value, 2.0);
         assert_eq!(find("fagin_round_duration_seconds_count").value, 1.0);
+        // One executed run (the hit executed nothing).
+        assert_eq!(find("fagin_bound_recomputations_count").value, 1.0);
+        assert_eq!(find("fagin_bound_recomputations_sum").value, 4_321.0);
         // The +Inf bucket closes every histogram family.
         let inf_buckets = samples
             .iter()
             .filter(|s| s.name.ends_with("_bucket") && s.label("le") == Some("+Inf"))
             .count();
-        assert_eq!(inf_buckets, 5, "five histogram families");
+        assert_eq!(inf_buckets, 6, "six histogram families");
     }
 }

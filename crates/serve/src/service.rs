@@ -1092,6 +1092,9 @@ fn finish_executed(
 ) -> QueryResponse {
     let latency = started.elapsed();
     shared.recorder.record_completed(run.cost, false, latency);
+    shared
+        .recorder
+        .record_bound_recomputations(run.metrics.bound_recomputations);
     shared.recorder.note_slow(SlowQuery {
         query: qid,
         latency,
@@ -1103,6 +1106,7 @@ fn finish_executed(
         sorted_accesses: run.stats.sorted_total(),
         random_accesses: run.stats.random_total(),
         cost: run.cost,
+        bound_recomputations: run.metrics.bound_recomputations,
     });
     shared.trace_done(qid, latency, run.stats.total());
     run.into_response(latency)

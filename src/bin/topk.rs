@@ -609,7 +609,7 @@ fn run_service_batch(
         for q in slow.iter().take(5) {
             println!(
                 "  #{:<5} {:>10.2?} | {} | k={} | halt={} | θ̂={:.3} | depth {} | \
-                 {} sorted + {} random (cost {:.1})",
+                 {} sorted + {} random (cost {:.1}) | {} bound recomputations",
                 q.query,
                 q.latency,
                 q.algorithm,
@@ -620,6 +620,7 @@ fn run_service_batch(
                 q.sorted_accesses,
                 q.random_accesses,
                 q.cost,
+                q.bound_recomputations,
             );
         }
     }

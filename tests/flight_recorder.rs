@@ -174,6 +174,13 @@ fn metrics_text_round_trips_and_agrees_with_service_metrics() {
         value("fagin_query_latency_seconds_count"),
         m.completed as f64
     );
+    // Only executed runs count their bound evaluations: the k=3 repeat is
+    // a cache hit and records nothing.
+    assert_eq!(m.cache_misses, 2);
+    assert_eq!(
+        value("fagin_bound_recomputations_count"),
+        m.cache_misses as f64
+    );
 
     // Histogram well-formedness: cumulative buckets, +Inf equals _count.
     for family in [
@@ -182,6 +189,7 @@ fn metrics_text_round_trips_and_agrees_with_service_metrics() {
         "fagin_round_duration_seconds",
         "fagin_sorted_batch_seconds",
         "fagin_random_lookup_seconds",
+        "fagin_bound_recomputations",
     ] {
         let buckets: Vec<&prometheus::Sample> = samples
             .iter()
