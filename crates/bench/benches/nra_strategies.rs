@@ -1,6 +1,9 @@
-//! Remark 8.7 ablation, timed: NRA's exhaustive bound recomputation vs the
-//! lazy max-heap. The `experiments e12` table reports the bookkeeping
-//! volume; this bench reports wall-clock.
+//! Remark 8.7 ablation, timed: NRA's two bookkeeping strategies. Both run
+//! the same incremental engine and differ only in how they break `W` ties
+//! at the `T_k` boundary — `Exhaustive` re-ranks the tied group by `B` (the
+//! paper's rule), `LazyHeap` by object id — so this bench reports what the
+//! faithful tie-break costs in wall-clock. The `experiments e12` table
+//! reports the bookkeeping volume.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

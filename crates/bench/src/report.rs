@@ -51,8 +51,10 @@ pub struct PerfRecord {
 }
 
 /// Runs the standard grid: four workload shapes × the core algorithm
-/// suite, including a batched TA configuration so the batching win (or a
-/// regression) shows up in the trajectory.
+/// suite at `k = 10`, including a batched TA configuration so the batching
+/// win (or a regression) shows up in the trajectory, plus NRA(lazy) and
+/// CA(h=2) at `k = 100`, where the engine's per-round selection work grows
+/// with `k`.
 ///
 /// Each cell runs twice over one shared [`fagin_core::RunScratch`]: an
 /// untimed warm-up (growing the arena for the workload) and the timed
@@ -96,10 +98,10 @@ fn store_roundtrip(db: &Database, tag: &str) -> Database {
     store.into_database()
 }
 
-/// The perf grid's algorithm suite with each algorithm's natural policy —
-/// one definition shared by [`measure_grid`] (the `BENCH_topk.json` rows)
-/// and [`obs_overhead_guard`], so the overhead check always measures
-/// exactly the cells the perf artifact records.
+/// The perf grid's `k = 10` algorithm suite with each algorithm's natural
+/// policy — one definition shared by [`measure_grid`] (the
+/// `BENCH_topk.json` rows) and [`obs_overhead_guard`], so the overhead
+/// check always measures the artifact's `k = 10` cells.
 fn grid_algorithms() -> Vec<(Box<dyn TopKAlgorithm>, AccessPolicy)> {
     vec![
         (Box::new(Ta::new()), AccessPolicy::no_wild_guesses()),
@@ -119,15 +121,31 @@ fn grid_algorithms() -> Vec<(Box<dyn TopKAlgorithm>, AccessPolicy)> {
     ]
 }
 
+/// The `k` of the large-`k` grid cells: ROADMAP item 5's largest `k`.
+const LARGE_K: usize = 100;
+
 fn measure_grid(workloads: &[(&'static str, Database)]) -> Vec<PerfRecord> {
-    let k = 10;
-    let algorithms = grid_algorithms();
+    let mut cells: Vec<_> = grid_algorithms()
+        .into_iter()
+        .map(|(algo, policy)| (algo, policy, 10))
+        .collect();
+    cells.push((
+        Box::new(Nra::with_strategy(BookkeepingStrategy::LazyHeap)),
+        AccessPolicy::no_random_access(),
+        LARGE_K,
+    ));
+    cells.push((
+        Box::new(Ca::new(2)),
+        AccessPolicy::no_wild_guesses(),
+        LARGE_K,
+    ));
 
     let agg: &dyn Aggregation = &Min;
     let mut arena = RunScratch::new();
     let mut records = Vec::new();
     for (workload, db) in workloads {
-        for (algo, policy) in &algorithms {
+        for (algo, policy, k) in &cells {
+            let k = *k;
             let mut session = Session::with_policy(db, policy.clone());
             algo.run_with(&mut session, agg, k, &mut arena)
                 .unwrap_or_else(|e| panic!("{} failed on {workload}: {e}", algo.name()));
@@ -759,8 +777,12 @@ pub fn write_json(path: &str, scale: Scale) -> std::io::Result<usize> {
 /// in-memory row still matches.
 pub fn access_count_drift(path: &str, scale: Scale) -> Result<Vec<String>, String> {
     let recorded = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    const KEYS: [&str; 6] = ["n", "m", "k", "sorted", "random", "bound_recomputations"];
-    let mut want: Vec<(String, String, [u64; 6])> = Vec::new();
+    // A cell is identified by its algorithm, workload and these shape
+    // fields (rows that differ only in `k` are different cells); the
+    // counts are what must not move.
+    const SHAPE: [&str; 3] = ["n", "m", "k"];
+    const COUNTS: [&str; 3] = ["sorted", "random", "bound_recomputations"];
+    let mut want: Vec<(String, String, [u64; 3], [u64; 3])> = Vec::new();
     for line in recorded.lines() {
         // Algorithm rows carry "k"; service rows carry "queries".
         if !line.contains("\"algorithm\"") || !line.contains("\"k\":") {
@@ -770,12 +792,17 @@ pub fn access_count_drift(path: &str, scale: Scale) -> Result<Vec<String>, Strin
             .ok_or_else(|| format!("{path}: row without algorithm: {line}"))?;
         let workload = json_str_field(line, "workload")
             .ok_or_else(|| format!("{path}: row without workload: {line}"))?;
-        let mut nums = [0u64; 6];
-        for (slot, key) in nums.iter_mut().zip(KEYS) {
+        let mut shape = [0u64; 3];
+        let mut counts = [0u64; 3];
+        for (slot, key) in shape
+            .iter_mut()
+            .chain(&mut counts)
+            .zip(SHAPE.iter().chain(&COUNTS))
+        {
             *slot = json_u64_field(line, key)
                 .ok_or_else(|| format!("{path}: row without {key}: {line}"))?;
         }
-        want.push((algorithm, workload, nums));
+        want.push((algorithm, workload, shape, counts));
     }
     if want.is_empty() {
         return Err(format!("{path}: no algorithm rows found"));
@@ -795,30 +822,22 @@ pub fn access_count_drift(path: &str, scale: Scale) -> Result<Vec<String>, Strin
             ));
         }
         for r in &measured {
-            let Some((_, _, nums)) = want
+            let shape = [r.n as u64, r.m as u64, r.k as u64];
+            let cell = format!(
+                "{label}{} on {} (n={}, m={}, k={})",
+                r.algorithm, r.workload, r.n, r.m, r.k
+            );
+            let Some((_, _, _, counts)) = want
                 .iter()
-                .find(|(a, w, _)| *a == r.algorithm && *w == r.workload)
+                .find(|(a, w, s, _)| *a == r.algorithm && *w == r.workload && *s == shape)
             else {
-                drift.push(format!(
-                    "{label}{} on {}: measured but not recorded in {path}",
-                    r.algorithm, r.workload
-                ));
+                drift.push(format!("{cell}: measured but not recorded in {path}"));
                 continue;
             };
-            let got = [
-                r.n as u64,
-                r.m as u64,
-                r.k as u64,
-                r.sorted,
-                r.random,
-                r.bound_recomputations,
-            ];
-            for (i, key) in KEYS.iter().enumerate() {
-                if nums[i] != got[i] {
-                    drift.push(format!(
-                        "{label}{} on {}: {key} recorded {} but measured {}",
-                        r.algorithm, r.workload, nums[i], got[i]
-                    ));
+            let got = [r.sorted, r.random, r.bound_recomputations];
+            for ((key, &want), got) in COUNTS.iter().zip(counts).zip(got) {
+                if want != got {
+                    drift.push(format!("{cell}: {key} recorded {want} but measured {got}"));
                 }
             }
         }
@@ -1358,8 +1377,13 @@ mod tests {
     #[test]
     fn quick_matrix_covers_the_grid() {
         let records = perf_matrix(Scale::Quick);
-        assert_eq!(records.len(), 4 * 5, "4 workloads x 5 algorithms");
+        assert_eq!(
+            records.len(),
+            4 * 7,
+            "4 workloads x (5 algorithms at k = 10 + 2 at k = 100)"
+        );
         assert!(records.iter().any(|r| r.algorithm == "TA[b=64]"));
+        assert_eq!(records.iter().filter(|r| r.k == LARGE_K).count(), 4 * 2);
         assert!(records.iter().all(|r| r.sorted > 0));
         // NRA rows never do random accesses.
         assert!(records
@@ -1448,6 +1472,33 @@ mod tests {
         let drift = access_count_drift(&path, Scale::Quick).unwrap();
         assert_eq!(drift.len(), 2, "{drift:?}");
         assert!(drift.iter().all(|d| d.contains("bound_recomputations")));
+
+        // Two rows that differ only in k are two cells: the identical
+        // rerun above matched each to its own row, and a drift in the
+        // k = 100 row is reported against that row alone.
+        let large = records
+            .iter()
+            .position(|r| r.k == LARGE_K)
+            .expect("a large-k cell");
+        let r = &records[large];
+        assert!(records.iter().any(|t| t.k != r.k
+            && (&t.algorithm, &t.workload, t.n, t.m) == (&r.algorithm, &r.workload, r.n, r.m)));
+        let line = json.lines().nth(1 + large).expect("one line per row");
+        let corrupted = json.replacen(
+            line,
+            &line.replacen(
+                &format!("\"sorted\": {}", r.sorted),
+                &format!("\"sorted\": {}", r.sorted + 1),
+                1,
+            ),
+            1,
+        );
+        std::fs::write(&path, corrupted).unwrap();
+        let drift = access_count_drift(&path, Scale::Quick).unwrap();
+        assert_eq!(drift.len(), 2, "{drift:?}");
+        assert!(drift
+            .iter()
+            .all(|d| d.contains("k=100") && d.contains("sorted recorded")));
 
         // A missing artifact is an error, not silence.
         assert!(access_count_drift("/nonexistent/bench.json", Scale::Quick).is_err());

@@ -19,14 +19,15 @@
 //! * **candidate rows** — a [`RowTable`] replaces the historical
 //!   `HashMap<ObjectId, Cand>`: a candidate lookup is two indexed loads,
 //!   and each row caches its current `W` and separable score;
-//! * **`W` index** — `W(R)` only ever *rises* as fields are learned, so a
-//!   lazy max-heap of `(W, id)` snapshots replaces the `BTreeSet`: every
-//!   `W` change pushes a fresh snapshot, and [`refresh_selection`] pops
-//!   entries best-first, discarding the stale ones (entry `W` ≠ the row's
-//!   cached `W`) for good. The snapshot with the row's current `W` is
-//!   always present, so the surviving pop order is exactly the old tree's
-//!   `(W desc, id asc)` iteration — without per-node allocation or pointer
-//!   chasing;
+//! * **`T_k` carried between rounds** — `W(R)` only ever *rises* as fields
+//!   are learned, so `T_k` is kept from one refresh to the next as a sorted
+//!   array of at most `k` entries, and membership is a flag on the row.
+//!   Each admitted row, and each row whose `W` rises, is queued once per
+//!   refresh; [`refresh_selection`] folds in only the queued rows. An
+//!   outsider that was not queued ranked below every member last time and
+//!   still does (members only rise), so nothing else needs a look. A
+//!   refresh costs `O(k)` per queued row instead of `O(k log n)` heap work
+//!   every round;
 //! * **stale-`B` max-heap** — `B(R)` never increases as sorted access
 //!   proceeds, so a heap of *stale* upper bounds is sound: if the largest
 //!   stored bound is `≤ M_k`, no outsider is viable and the run halts. Only
@@ -42,11 +43,10 @@
 //!   the access sequence. See [`BoundEngine::without_eviction`] for the one
 //!   consumer that must opt out.
 //!
-//! The observable contract (unchanged since the incremental rewrite of
-//! PR 3): every halting decision, `T_k` selection and random-access choice
-//! depends only on `(W, B, τ)` *values*, which the lazy structures
-//! reproduce exactly — the sequence of sorted/random accesses is identical
-//! to the historical implementations (pinned by
+//! The observable contract: every halting decision, `T_k` selection and
+//! random-access choice depends only on `(W, B, τ)` *values*, which the
+//! incremental structures reproduce exactly — the sequence of sorted/random
+//! accesses is identical to the historical implementations (pinned by
 //! `tests/engine_equivalence.rs`).
 //!
 //! [`refresh_selection`]: BoundEngine::refresh_selection
@@ -79,10 +79,10 @@ use super::{validate, TopKAlgorithm};
 
 /// How NRA/CA break ties in the `T_k` selection (Remark 8.7).
 ///
-/// Both strategies share the lazy incremental structures; the names are
-/// kept because the *selection* semantics still differ (faithful `B`
-/// tie-breaking vs id tie-breaking) and because the access sequences of
-/// both historical implementations are pinned by tests.
+/// Both strategies share the incremental structures and one refresh path;
+/// the names are kept because the *selection* semantics still differ
+/// (faithful `B` tie-breaking vs id tie-breaking) and because the access
+/// sequences of both historical implementations are pinned by tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BookkeepingStrategy {
     /// Faithful boundary tie-breaking: the `W`-tied group at the `T_k`
@@ -95,21 +95,32 @@ pub enum BookkeepingStrategy {
 }
 
 /// Per-candidate cached values stored in the row table's payload: the
-/// current `W(R)` (changes only when a field is learned) and the
+/// current `W(R)` (changes only when a field is learned), the
 /// separable-bound score (see [`Aggregation::bound_score`]; meaningful only
-/// while the engine keeps a separable index).
+/// while the engine keeps a separable index), and the row's standing in
+/// the selection.
 #[derive(Clone, Copy, Default)]
 struct CandMeta {
     w: Grade,
     score: Grade,
+    /// In `T_k` as of the last refresh.
+    selected: bool,
+    /// Admitted, or `W` rose, since the last refresh (see
+    /// [`BoundEngine::refresh_selection`]).
+    queued: bool,
 }
 
 /// Max-heap entry: a `(value, id)` snapshot ordered largest-value first;
 /// ties pop the *smallest* object id first (the `Reverse`). Used for the
-/// stale-`B` heaps (value = a sound upper bound on `B`) and the lazy `W`
-/// index (value = a `W` snapshot; stale iff ≠ the row's cached `W`).
+/// stale-`B` heaps (value = a sound upper bound on `B`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapEntry(Grade, Reverse<ObjectId>);
+
+/// Whether `a` precedes `b` in the selection order: `W` desc, then id asc.
+#[inline]
+fn ranks_before(a: (ObjectId, Grade), b: (ObjectId, Grade)) -> bool {
+    (a.1, Reverse(a.0)) > (b.1, Reverse(b.0))
+}
 
 /// Incomplete candidates sharing one missing-field mask, for aggregations
 /// with the separable-bound capability ([`Aggregation::bound_score`]).
@@ -136,25 +147,23 @@ impl ScoreGroup {
     }
 }
 
-/// The current top-`k` list `T_k`. Owned by the engine's arena and
-/// refreshed in place each round ([`BoundEngine::refresh_selection`]), so
-/// no per-round allocation.
+/// The current top-`k` list `T_k`. Owned by the engine's arena and carried
+/// from refresh to refresh ([`BoundEngine::refresh_selection`]), so no
+/// per-round allocation. Membership is the rows' `selected` flag
+/// ([`EngineScratch::in_top`]).
 #[derive(Default)]
 pub(crate) struct Selection {
-    /// `(object, W)` best-first. Length `min(k, live candidates)`.
+    /// `(object, W)` best-first. Length `min(k, live candidates)`. Sorted
+    /// by `W` desc, then id asc — except that, under
+    /// [`BookkeepingStrategy::Exhaustive`], the group tied at `M_k` is in
+    /// `(B desc, id asc)` order whenever an outsider also ties `M_k`.
     pub top: Vec<(ObjectId, Grade)>,
-    /// The same objects sorted by id, for `O(log k)` membership tests.
-    ids: Vec<ObjectId>,
+    /// Exhaustive only: every live outsider whose `W` equals `M_k`.
+    tied_out: Vec<ObjectId>,
     /// `M_k`: the `k`-th largest `W` value (worst `W` in `top` when full).
     pub m_k: Grade,
     /// Whether `top` holds `k` entries.
     pub full: bool,
-}
-
-impl Selection {
-    pub(crate) fn contains(&self, object: ObjectId) -> bool {
-        self.ids.binary_search(&object).is_ok()
-    }
 }
 
 /// Evict-scan floor: below this many live candidates a sweep isn't worth
@@ -163,15 +172,16 @@ const PRUNE_FLOOR: usize = 128;
 
 /// All reusable storage of one [`BoundEngine`] run: the dense candidate
 /// table, the lazy heaps, the separable-score groups, eviction state, the
-/// in-place `T_k` selection, and assorted scan buffers. Cleared in `O(1)`
-/// (generation bumps + capacity-retaining `clear`s) at the start of every
-/// run; owned by [`RunScratch`](crate::arena::RunScratch).
+/// carried-forward `T_k` selection and its refresh queue, and assorted
+/// scan buffers. Cleared in `O(1)` (generation bumps + capacity-retaining
+/// `clear`s) at the start of every run; owned by
+/// [`RunScratch`](crate::arena::RunScratch).
 #[derive(Default)]
 pub(crate) struct EngineScratch {
     rows: RowTable<CandMeta>,
     bottoms: Bottoms,
-    /// Lazy `W` index (see the module docs).
-    by_w: BinaryHeap<HeapEntry>,
+    /// Rows to fold into `T_k` at the next refresh (see the module docs).
+    queue: Vec<ObjectId>,
     /// Stale-but-sound upper bounds on `B`, ≥ 1 entry per live candidate.
     b_heap: BinaryHeap<HeapEntry>,
     /// CA only, generic aggregations: stale `B` bounds over incomplete
@@ -189,8 +199,10 @@ pub(crate) struct EngineScratch {
     /// re-evicted). Surfaced as [`RunMetrics::evicted`].
     evicted_log: Vec<ObjectId>,
     sel: Selection,
+    /// Exhaustive only: the rows a refresh left outside `T_k` — leavers
+    /// and queued outsiders that did not get in.
+    dropped: Vec<ObjectId>,
     parked: Vec<HeapEntry>,
-    popped_w: Vec<HeapEntry>,
     tied: Vec<(ObjectId, Grade)>,
     mask_keys: Vec<u64>,
     tied_masks: Vec<(u64, Grade)>,
@@ -205,7 +217,7 @@ impl EngineScratch {
     fn reset(&mut self, m: usize) {
         self.rows.reset(m);
         self.bottoms.reset(m);
-        self.by_w.clear();
+        self.queue.clear();
         self.b_heap.clear();
         self.incomplete.clear();
         // Group storage parks in the spare pool rather than dropping.
@@ -217,11 +229,11 @@ impl EngineScratch {
         self.evicted_ids.reset();
         self.evicted_log.clear();
         self.sel.top.clear();
-        self.sel.ids.clear();
+        self.sel.tied_out.clear();
         self.sel.m_k = Grade::ZERO;
         self.sel.full = false;
+        self.dropped.clear();
         self.parked.clear();
-        self.popped_w.clear();
         self.tied.clear();
         self.mask_keys.clear();
         self.tied_masks.clear();
@@ -229,6 +241,21 @@ impl EngineScratch {
         self.popped_ids.clear();
         self.dead.clear();
         self.scratch.clear();
+    }
+
+    /// Whether live candidate `object` is in `T_k`.
+    #[inline]
+    fn in_top(&self, object: ObjectId) -> bool {
+        self.rows.payload(object.index()).selected
+    }
+
+    /// Queues live candidate `object` for the next refresh, once.
+    fn enqueue(&mut self, object: ObjectId) {
+        let meta = self.rows.payload_mut(object.index());
+        if !meta.queued {
+            meta.queued = true;
+            self.queue.push(object);
+        }
     }
 }
 
@@ -395,7 +422,7 @@ impl<'a> BoundEngine<'a> {
             self.bound_recomputations += 1;
             if new_w != old_w {
                 s.rows.payload_mut(idx).w = new_w;
-                s.by_w.push(HeapEntry(new_w, Reverse(object)));
+                s.enqueue(object);
             }
             if self.separable {
                 Self::group_remove(s, old_mask);
@@ -414,7 +441,7 @@ impl<'a> BoundEngine<'a> {
         let b = s.rows.b(idx, self.agg, &s.bottoms, &mut s.scratch);
         self.bound_recomputations += 2;
         s.rows.payload_mut(idx).w = w;
-        s.by_w.push(HeapEntry(w, Reverse(object)));
+        s.enqueue(object);
         s.b_heap.push(HeapEntry(b, Reverse(object)));
         if self.track_incomplete && !s.rows.is_complete(idx) {
             if self.separable {
@@ -487,98 +514,154 @@ impl<'a> BoundEngine<'a> {
         self.s.rows.missing_into(object.index(), out);
     }
 
-    /// Pops the best *current* `W` snapshot `(W desc, id asc)`, discarding
-    /// stale and dead entries for good. `None` when no live candidate
-    /// remains indexed.
-    fn pop_valid_w(&mut self) -> Option<HeapEntry> {
-        let s = &mut *self.s;
-        loop {
-            let e = s.by_w.pop()?;
-            let HeapEntry(w, Reverse(o)) = e;
-            let idx = o.index();
-            if s.rows.is_live(idx) && s.rows.payload(idx).w == w {
-                return Some(e);
-            }
-        }
-    }
-
-    /// Recomputes the current `T_k` in place (paper: largest `W`, ties by
-    /// larger `B`, then by smaller object id for determinism) by popping
-    /// the front of the lazy `W` index — `O((k + ties) log n)` with every
-    /// surviving snapshot pushed back, instead of a full sort.
+    /// Brings `T_k` up to date (paper: largest `W`, ties by larger `B`,
+    /// then by smaller object id for determinism) by folding in only the
+    /// rows queued since the last refresh, members first:
+    ///
+    /// * a queued member's `W` rose, so it moves up in place;
+    /// * a queued outsider enters only if it beats the last entry, which
+    ///   then leaves (under [`BookkeepingStrategy::Exhaustive`], "beats"
+    ///   means a strictly larger `W`: ties at the boundary are settled by
+    ///   the `B` re-rank below).
+    ///
+    /// This is exact: an outsider that was not queued ranked below every
+    /// member at the last refresh, members' `W` only rise, and members are
+    /// never evicted (`B ≥ W ≥ M_k`, while eviction needs `B < M_k`), so
+    /// the new `T_k` lies inside the old `T_k` plus the queued rows. Under
+    /// Exhaustive, [`Self::rerank_boundary`] then re-ranks the group tied
+    /// at `M_k` by `B` whenever an outsider is on it.
     pub(crate) fn refresh_selection(&mut self) {
-        let k_eff = self.k.min(self.s.rows.live().max(1));
-        {
-            let s = &mut *self.s;
-            s.sel.top.clear();
-            s.sel.ids.clear();
-            s.popped_w.clear();
-            s.tied.clear();
-        }
-
-        // Top k_eff by (W desc, id asc). A candidate can surface twice when
-        // re-admission re-snapshots an unchanged W; duplicates pop
-        // adjacently (identical keys) and are dropped, keeping one snapshot.
-        let mut last: Option<(Grade, ObjectId)> = None;
-        while self.s.sel.top.len() < k_eff {
-            let Some(e) = self.pop_valid_w() else { break };
-            let HeapEntry(w, Reverse(o)) = e;
-            if last == Some((w, o)) {
-                continue; // redundant duplicate snapshot: drop for good
+        let exhaustive = self.strategy == BookkeepingStrategy::Exhaustive;
+        let old_m_k = self.s.sel.m_k;
+        let s = &mut *self.s;
+        let k_eff = self.k.min(s.rows.live().max(1));
+        let mut queue = std::mem::take(&mut s.queue);
+        // Members first: then a row leaves T_k at most once per refresh,
+        // with its final W, and never comes back in the same refresh.
+        for &o in &queue {
+            let idx = o.index();
+            if !s.rows.is_live(idx) {
+                continue;
             }
-            last = Some((w, o));
-            self.s.popped_w.push(e);
-            self.s.sel.top.push((o, w));
+            let meta = s.rows.payload_mut(idx);
+            if !(meta.queued && meta.selected) {
+                continue;
+            }
+            meta.queued = false;
+            let w = meta.w;
+            let top = &mut s.sel.top;
+            let at = top
+                .iter()
+                .position(|&(x, _)| x == o)
+                .expect("a selected row is in T_k");
+            let to = top[..at].partition_point(|&e| ranks_before(e, (o, w)));
+            top[to..=at].rotate_right(1);
+            top[to] = (o, w);
         }
-
-        // Faithful (Exhaustive) boundary handling: when further candidates
-        // tie the k-th W value, the whole tied group is re-ranked by B.
-        if self.strategy == BookkeepingStrategy::Exhaustive && self.s.sel.top.len() == k_eff {
-            let wk = self.s.sel.top.last().expect("k_eff >= 1").1;
-            let mut extras = 0usize;
-            while let Some(e) = self.pop_valid_w() {
-                let HeapEntry(w, Reverse(o)) = e;
-                if last == Some((w, o)) {
+        for &o in &queue {
+            let idx = o.index();
+            if !s.rows.is_live(idx) {
+                continue;
+            }
+            let meta = s.rows.payload_mut(idx);
+            if !meta.queued {
+                continue;
+            }
+            meta.queued = false;
+            let w = meta.w;
+            if let Some(&last) = s.sel.top.last().filter(|_| s.sel.top.len() == k_eff) {
+                let enters = if exhaustive {
+                    w > last.1
+                } else {
+                    ranks_before((o, w), last)
+                };
+                if !enters {
+                    if exhaustive {
+                        s.dropped.push(o);
+                    }
                     continue;
                 }
-                last = Some((w, o));
-                self.s.popped_w.push(e);
-                if w == wk {
-                    extras += 1;
-                    self.s.tied.push((o, Grade::ZERO));
-                } else {
-                    break; // strictly below the boundary: keep for later
+                s.sel.top.pop();
+                s.rows.payload_mut(last.0.index()).selected = false;
+                if exhaustive {
+                    s.dropped.push(last.0);
                 }
             }
-            if extras > 0 {
-                // The tied group: the extras plus every top member at wk
-                // (gather order is irrelevant — the (B desc, id asc)
-                // re-rank below is a total order over distinct ids).
-                let s = &mut *self.s;
-                while s.sel.top.last().is_some_and(|&(_, w)| w == wk) {
-                    let (o, _) = s.sel.top.pop().expect("checked non-empty");
-                    s.tied.push((o, Grade::ZERO));
-                }
-                let mut tied = std::mem::take(&mut self.s.tied);
-                for slot in tied.iter_mut() {
-                    slot.1 = self.b_of(slot.0);
-                }
-                tied.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                let s = &mut *self.s;
-                s.sel.top.extend(tied.iter().map(|&(o, _)| (o, wk)));
-                s.sel.top.truncate(k_eff);
-                tied.clear();
-                s.tied = tied;
-            }
+            let at = s.sel.top.partition_point(|&e| ranks_before(e, (o, w)));
+            s.sel.top.insert(at, (o, w));
+            s.rows.payload_mut(idx).selected = true;
+        }
+        queue.clear();
+        s.queue = queue;
+
+        if exhaustive {
+            self.rerank_boundary(old_m_k);
+        }
+        let s = &mut *self.s;
+        s.sel.full = s.sel.top.len() == self.k;
+        s.sel.m_k = s.sel.top.last().map_or(Grade::ZERO, |&(_, w)| w);
+    }
+
+    /// Exhaustive boundary handling: when a live outsider ties the last
+    /// entry's `W`, the whole tied group — the members at that `W` plus
+    /// those outsiders — is re-ranked by `(B desc, id asc)`, and the losers
+    /// are kept in `tied_out` for the next refresh.
+    ///
+    /// The tied outsiders are known without a scan. If `M_k` held still,
+    /// they are the kept `tied_out` (less any row that entered `T_k`) plus
+    /// this refresh's leavers and rejected entrants at `M_k`. If `M_k`
+    /// rose, the kept ones fell below it, and only this refresh's leavers
+    /// and rejected entrants can tie the new value.
+    fn rerank_boundary(&mut self, old_m_k: Grade) {
+        let s = &mut *self.s;
+        let Some(&(_, wk)) = s.sel.top.last() else {
+            return; // nothing seen yet
+        };
+        let mut tied_out = std::mem::take(&mut s.sel.tied_out);
+        if wk == old_m_k {
+            tied_out.retain(|&o| !s.in_top(o));
+        } else {
+            tied_out.clear();
+        }
+        let rows = &s.rows;
+        tied_out.extend(
+            s.dropped
+                .drain(..)
+                .filter(|&o| rows.payload(o.index()).w == wk),
+        );
+        let start = s.sel.top.partition_point(|&(_, w)| w > wk);
+        if tied_out.is_empty() {
+            // Ties cannot just vanish: while M_k holds, each entrant pushes
+            // a member at M_k out. So a B-ranked group lasts only while an
+            // outsider ties it, and without one the group is in id order.
+            debug_assert!(s.sel.top[start..].is_sorted_by_key(|&(o, _)| o));
+            s.sel.tied_out = tied_out;
+            return;
         }
 
+        let slots = s.sel.top.len() - start;
+        let mut tied = std::mem::take(&mut s.tied);
+        tied.clear();
+        tied.extend(s.sel.top.drain(start..));
+        tied.extend(tied_out.iter().map(|&o| (o, wk)));
+        for slot in tied.iter_mut() {
+            slot.1 = self.b_of(slot.0);
+        }
+        tied.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let s = &mut *self.s;
-        s.by_w.extend(s.popped_w.drain(..));
-        let live = s.rows.live();
-        s.sel.full = s.sel.top.len() == self.k.min(live) && live >= self.k;
-        s.sel.m_k = s.sel.top.last().map_or(Grade::ZERO, |&(_, w)| w);
-        s.sel.ids.extend(s.sel.top.iter().map(|&(o, _)| o));
-        s.sel.ids.sort_unstable();
+        tied_out.clear();
+        for (rank, &(o, _)) in tied.iter().enumerate() {
+            let wins = rank < slots;
+            s.rows.payload_mut(o.index()).selected = wins;
+            if wins {
+                s.sel.top.push((o, wk));
+            } else {
+                tied_out.push(o);
+            }
+        }
+        tied.clear();
+        s.tied = tied;
+        s.sel.tied_out = tied_out;
     }
 
     /// The halting test against the current selection: `T_k` is full (or
@@ -626,7 +709,7 @@ impl<'a> BoundEngine<'a> {
                 continue; // entry for an evicted object: drop for good
             }
             let b = self.b_of(object);
-            if self.s.sel.contains(object) {
+            if self.s.in_top(object) {
                 // T_k members may stay viable; park so we can inspect the
                 // rest, reinsert afterwards.
                 parked.push(HeapEntry(b, Reverse(object)));
@@ -736,7 +819,7 @@ impl<'a> BoundEngine<'a> {
                 continue; // entry for an evicted object: drop for good
             }
             let b = self.b_of(object);
-            if self.s.sel.contains(object) {
+            if self.s.in_top(object) {
                 // T_k members are not outsiders; park, reinsert at the end.
                 parked.push(HeapEntry(b, Reverse(object)));
                 continue;
@@ -760,6 +843,7 @@ impl<'a> BoundEngine<'a> {
         let idx = object.index();
         let s = &mut *self.s;
         debug_assert!(s.rows.is_live(idx), "evicting a live candidate");
+        debug_assert!(!s.in_top(object), "T_k members are never evicted");
         if self.separable && !s.rows.is_complete(idx) {
             let mask = s.rows.missing_mask(idx);
             Self::group_remove(s, mask);
@@ -939,7 +1023,7 @@ impl<'a> BoundEngine<'a> {
             };
             let valid =
                 Self::is_member(&self.s, mask, o) && self.s.rows.payload(o.index()).score == score;
-            if valid && !(outsiders_only && self.s.sel.contains(o)) {
+            if valid && !(outsiders_only && self.s.in_top(o)) {
                 break Some(o);
             }
             let entry = group.by_score.pop().expect("peeked");
@@ -1641,7 +1725,7 @@ mod tests {
         };
         let mut scratch = Vec::new();
         for idx in 0..n {
-            if e.s.rows.is_live(idx) && !e.s.sel.contains(ObjectId(idx as u32)) {
+            if e.s.rows.is_live(idx) && !e.s.in_top(ObjectId(idx as u32)) {
                 let b = e.s.rows.b(idx, e.agg, &e.s.bottoms, &mut scratch);
                 max_outside = max_outside.max(b);
             }
@@ -1656,12 +1740,47 @@ mod tests {
         ))
     }
 
+    /// Brute-force reference for [`BoundEngine::refresh_selection`]:
+    /// every live row sorted by `(W desc, id asc)`, with `W` evaluated
+    /// straight off the row table, cut to `min(k, live)`. Under Exhaustive,
+    /// when a row outside the cut ties the last `W`, every row at that `W`
+    /// is re-ranked by `(B desc, id asc)`. Returns `(T_k, M_k, full)`.
+    fn reference_selection(e: &BoundEngine<'_>, n: usize) -> (Vec<(ObjectId, Grade)>, Grade, bool) {
+        let mut scratch = Vec::new();
+        let mut live: Vec<(ObjectId, Grade)> = (0..n)
+            .filter(|&idx| e.s.rows.is_live(idx))
+            .map(|idx| (ObjectId(idx as u32), e.s.rows.w(idx, e.agg, &mut scratch)))
+            .collect();
+        live.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let cut = e.k.min(live.len());
+        let mut top = live[..cut].to_vec();
+        if let Some(&(_, wk)) = top.last() {
+            let tie_outside = live.get(cut).is_some_and(|&(_, w)| w == wk);
+            if e.strategy == BookkeepingStrategy::Exhaustive && tie_outside {
+                let start = top.partition_point(|&(_, w)| w > wk);
+                let mut tied: Vec<(ObjectId, Grade)> = live[start..]
+                    .iter()
+                    .take_while(|&&(_, w)| w == wk)
+                    .map(|&(o, _)| (o, e.s.rows.b(o.index(), e.agg, &e.s.bottoms, &mut scratch)))
+                    .collect();
+                tied.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                top.truncate(start);
+                top.extend(tied[..cut - start].iter().map(|&(o, _)| (o, wk)));
+            }
+        }
+        let m_k = top.last().map_or(Grade::ZERO, |&(_, w)| w);
+        let full = top.len() == e.k;
+        (top, m_k, full)
+    }
+
     /// Steps NRA-style rounds (`h = None`) or CA-style rounds with a
     /// random-access phase every `h` rounds through a bare engine, the way
     /// the drive loops do, and asserts after the sorted phase and again
-    /// after the random-access phase and halting test that `certificate`
-    /// equals the reference bit for bit. Returns how many certificates
-    /// were `Some`.
+    /// after the random-access phase and halting test that the selection
+    /// (order, `M_k`, `full` and every row's membership flag) equals
+    /// [`reference_selection`] and that `certificate` equals
+    /// [`reference_certificate`] bit for bit. Returns how many
+    /// certificates were `Some`.
     fn certificates_match_reference(
         db: &Database,
         agg: &dyn Aggregation,
@@ -1681,6 +1800,25 @@ mod tests {
         let mut exhausted = vec![false; m];
         let mut certified = 0;
         let mut check = |engine: &mut BoundEngine<'_>, round: u64, at: &str| {
+            let (top, m_k, full) = reference_selection(engine, n);
+            let sel = &engine.s.sel;
+            assert!(
+                sel.top == top && sel.m_k == m_k && sel.full == full,
+                "{} k={k} {strategy:?} b={batch} h={h:?} round {round} ({at}): \
+                 selection {:?} (M_k {:?}, full {}), reference {top:?} (M_k {m_k:?}, full {full})",
+                agg.name(),
+                sel.top,
+                sel.m_k,
+                sel.full
+            );
+            for idx in (0..n).filter(|&idx| engine.s.rows.is_live(idx)) {
+                let o = ObjectId(idx as u32);
+                assert_eq!(
+                    engine.s.in_top(o),
+                    top.iter().any(|&(x, _)| x == o),
+                    "membership flag of {o} (round {round}, {at})"
+                );
+            }
             let want = reference_certificate(engine, n);
             let got = engine.certificate(n);
             assert_eq!(
@@ -1770,7 +1908,7 @@ mod tests {
                         BookkeepingStrategy::Exhaustive,
                         BookkeepingStrategy::LazyHeap,
                     ] {
-                        for k in [1usize, 3, 10] {
+                        for k in [1usize, 3, 10, 50] {
                             for batch in [1usize, 4] {
                                 for h in [None, Some(1), Some(3)] {
                                     certified += certificates_match_reference(

@@ -1,7 +1,7 @@
 //! Reusable run arenas: the allocation-free hot path.
 //!
 //! Every algorithm run needs per-run state — TA's memo and top-`k` buffer,
-//! the NRA/CA bound engine's candidate table, `W` index and heaps, FA's
+//! the NRA/CA bound engine's candidate table, `T_k` selection and heaps, FA's
 //! match buffer, plus assorted batch/probe scratch vectors. Allocating that
 //! state per query is pure overhead in a serving system: object ids are
 //! dense `u32` indices, the buffers' shapes depend only on `(N, m, k)`, and
