@@ -48,7 +48,6 @@ mod error;
 mod grade;
 mod list;
 mod policy;
-mod scan;
 mod session;
 mod shard;
 mod slots;
@@ -63,7 +62,6 @@ pub use fagin_obs::{EventKind, FlightRecorder, TraceEvent};
 pub use grade::{Entry, Grade, ObjectId};
 pub use list::SortedList;
 pub use policy::{AccessPolicy, SortedAccessSet};
-pub use scan::ScanFrontier;
 pub use session::{BatchConfig, Middleware, Session};
 pub use shard::{DatabaseShard, ShardView};
 pub use slots::{SlotSet, SlotTable};

@@ -10,8 +10,6 @@
 //! violations surface as typed [`AccessError`]s, so tests can verify an
 //! algorithm belongs to the class `A` a theorem quantifies over.
 
-use std::sync::Arc;
-
 use fagin_obs::{EventKind, FlightRecorder};
 
 use crate::cost::AccessStats;
@@ -19,7 +17,6 @@ use crate::database::Database;
 use crate::error::AccessError;
 use crate::grade::{Entry, Grade, ObjectId};
 use crate::policy::AccessPolicy;
-use crate::scan::ScanFrontier;
 use crate::slots::SlotSet;
 
 /// How many entries an algorithm's drive loop consumes per list per round.
@@ -251,10 +248,6 @@ pub struct Session<'db> {
     /// Objects seen under sorted access (for wild-guess detection).
     /// Generation-stamped so [`Session::reset`] is `O(m)`, not `O(N)`.
     seen: SlotSet,
-    /// When attached, sorted entries are served through the shared scan
-    /// frontier instead of directly from the lists (identical bytes —
-    /// see [`ScanFrontier`] — but the sweep is shared across sessions).
-    frontier: Option<Arc<ScanFrontier>>,
     /// When attached, access batches and drive-loop narration land here
     /// as fixed-size binary events. The ring is preallocated at attach
     /// time, so the instrumented hot path stays allocation-free.
@@ -299,7 +292,6 @@ impl<'db> Session<'db> {
             stats: AccessStats::new(db.num_lists()),
             positions: vec![0; db.num_lists()],
             seen,
-            frontier: None,
             recorder: None,
             rounds_untraced: 0,
         }
@@ -312,10 +304,10 @@ impl<'db> Session<'db> {
     /// allocator tests run TA's steady-state loop with a recorder
     /// attached and still observe zero allocations.
     ///
-    /// Like the scan frontier, the attachment survives [`Session::reset`]
-    /// (a serving worker attaches once and rewinds per query); the ring's
-    /// *contents* also survive, so the owner decides when a new query
-    /// starts ([`FlightRecorder::clear`] + [`FlightRecorder::set_query`]).
+    /// The attachment survives [`Session::reset`] (a serving worker
+    /// attaches once and rewinds per query); the ring's *contents* also
+    /// survive, so the owner decides when a new query starts
+    /// ([`FlightRecorder::clear`] + [`FlightRecorder::set_query`]).
     pub fn attach_recorder(&mut self, recorder: FlightRecorder) {
         self.recorder = Some(recorder);
     }
@@ -334,37 +326,6 @@ impl<'db> Session<'db> {
     /// Mutable access to the attached flight recorder, if any.
     pub fn recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
         self.recorder.as_mut()
-    }
-
-    /// Attaches the session to a shared scan frontier: sorted accesses are
-    /// now served through the frontier's materialized prefixes (extending
-    /// them on first contact), so concurrent sessions over the same
-    /// database share one sweep per list instead of repeating it. The
-    /// session's own cursor, policy, budget and accounting are untouched —
-    /// answers and stats stay bytewise identical to a detached run.
-    ///
-    /// The attachment survives [`Session::reset`] (a serving worker
-    /// attaches once and rewinds per query).
-    ///
-    /// # Panics
-    /// Panics if the frontier was built over a different database.
-    pub fn share_scans(&mut self, frontier: Arc<ScanFrontier>) {
-        assert!(
-            std::ptr::eq(self.db, Arc::as_ptr(frontier.database())),
-            "frontier must sweep this session's database"
-        );
-        self.frontier = Some(frontier);
-    }
-
-    /// Detaches the session from its shared scan frontier (no-op when
-    /// detached); subsequent sorted accesses read the lists directly.
-    pub fn unshare_scans(&mut self) {
-        self.frontier = None;
-    }
-
-    /// The shared scan frontier this session serves from, if attached.
-    pub fn scan_frontier(&self) -> Option<&Arc<ScanFrontier>> {
-        self.frontier.as_ref()
     }
 
     /// Rewinds the session to a fresh run under `policy`: counters zeroed,
@@ -433,12 +394,7 @@ impl Middleware for Session<'_> {
             return Ok(None);
         }
         self.check_budget()?;
-        // Same entry either way (the frontier materializes from this very
-        // list); attached sessions route through it so the sweep is shared.
-        let entry = match &self.frontier {
-            Some(frontier) => frontier.entry_at(list, pos).expect("rank < len"),
-            None => self.db.list(list).at_rank(pos).expect("rank < len"),
-        };
+        let entry = self.db.list(list).at_rank(pos).expect("rank < len");
         self.positions[list] = pos + 1;
         self.stats.record_sorted(list);
         self.seen.mark(entry.object.index());
@@ -503,25 +459,11 @@ impl Middleware for Session<'_> {
             Some(r) if allowed >= TIMED_BATCH_MIN => r.now_nanos(),
             _ => 0,
         };
-        out.reserve(allowed);
-        match &self.frontier {
-            Some(frontier) => {
-                let seen = &mut self.seen;
-                frontier.with_prefix(list, pos, pos + allowed, |slice| {
-                    for entry in slice {
-                        seen.mark(entry.object.index());
-                        out.push(*entry);
-                    }
-                });
-            }
-            None => {
-                for rank in pos..pos + allowed {
-                    let entry = l.at_rank(rank).expect("rank < len");
-                    self.seen.mark(entry.object.index());
-                    out.push(entry);
-                }
-            }
+        let served = &l.entries()[pos..pos + allowed];
+        for entry in served {
+            self.seen.mark(entry.object.index());
         }
+        out.extend_from_slice(served);
         self.positions[list] = pos + allowed;
         self.stats.record_sorted_n(list, allowed as u64);
         if let Some(r) = &mut self.recorder {
@@ -881,74 +823,6 @@ mod tests {
         assert_eq!(err, AccessError::BudgetExhausted);
         assert_eq!(grades.len(), 2);
         assert_eq!(s.stats().total(), 2);
-    }
-
-    #[test]
-    fn shared_scans_are_bytewise_invisible() {
-        // The same access sequence, attached vs detached: every entry,
-        // every counter and every cursor must agree exactly.
-        let shared_db = Arc::new(db());
-        let frontier = Arc::new(crate::ScanFrontier::new(Arc::clone(&shared_db)));
-        let mut attached = Session::new(&shared_db);
-        attached.share_scans(Arc::clone(&frontier));
-        let mut detached = Session::new(&shared_db);
-
-        let drive = |s: &mut Session<'_>| {
-            let mut log = Vec::new();
-            log.push(s.sorted_next(0).unwrap());
-            let mut batch = Vec::new();
-            s.sorted_next_batch(1, 2, &mut batch).unwrap();
-            log.extend(batch.into_iter().map(Some));
-            log.push(s.sorted_next(1).unwrap());
-            log.push(s.sorted_next(1).unwrap()); // exhausted
-            log
-        };
-        assert_eq!(drive(&mut attached), drive(&mut detached));
-        assert_eq!(
-            attached.stats().sorted_total(),
-            detached.stats().sorted_total()
-        );
-        assert_eq!(attached.position(1), detached.position(1));
-        assert!(attached.has_seen(ObjectId(0)));
-
-        // The frontier advanced exactly as far as the deepest cursor, and
-        // survives a reset (the cursor rewinds, the shared sweep does not).
-        assert_eq!(frontier.depth(0), 1);
-        assert_eq!(frontier.depth(1), 3);
-        attached.reset(AccessPolicy::default());
-        assert!(attached.scan_frontier().is_some());
-        assert_eq!(attached.position(1), 0);
-        let before = frontier.served_fresh();
-        attached.sorted_next(1).unwrap();
-        assert_eq!(frontier.served_fresh(), before, "rewound reads are shared");
-        attached.unshare_scans();
-        assert!(attached.scan_frontier().is_none());
-    }
-
-    #[test]
-    fn shared_scans_respect_budget_and_policy_order() {
-        let shared_db = Arc::new(db());
-        let frontier = Arc::new(crate::ScanFrontier::new(Arc::clone(&shared_db)));
-        let mut s =
-            Session::with_policy(&shared_db, AccessPolicy::no_wild_guesses().with_budget(2));
-        s.share_scans(Arc::clone(&frontier));
-        let mut buf = Vec::new();
-        // Budget truncates the batch before the frontier is consulted for
-        // the denied ranks: only 2 entries materialize.
-        assert_eq!(s.sorted_next_batch(0, 3, &mut buf).unwrap(), 2);
-        assert_eq!(s.sorted_next(0).unwrap_err(), AccessError::BudgetExhausted);
-        assert_eq!(frontier.depth(0), 2, "denied accesses never extend");
-        assert_eq!(s.stats().total(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "frontier must sweep this session's database")]
-    fn foreign_frontier_rejected() {
-        let a = Arc::new(db());
-        let b = Arc::new(db());
-        let frontier = Arc::new(crate::ScanFrontier::new(b));
-        let mut s = Session::new(&a);
-        s.share_scans(frontier);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the build-in-RAM path every constructor used before the storage tier
 //! existed) or `Mapped` (a typed window into a shared byte buffer, e.g. a
 //! memory-mapped store file opened by `fagin-store`). Everything above the
-//! slice boundary — sessions, shards, frontiers, algorithms — sees `&[T]`
+//! slice boundary — sessions, shards, algorithms — sees `&[T]`
 //! either way, so answers and access counts cannot depend on the backing.
 //!
 //! This is the one module in the crate that needs `unsafe`: reinterpreting

@@ -1,12 +1,12 @@
 //! Flight-recorder observability for the fagin-topk stack.
 //!
 //! The paper's algorithms are analyzed in terms of *access cost*; the
-//! serving stack built on top of them (coalescing, shared scan frontiers,
-//! τ-certified cache hits, degraded θ̂ answers) has behavior no single
-//! counter block can explain. This crate supplies the observability
-//! primitives every layer shares, designed around one hard constraint:
-//! the drive loops they instrument are proven zero-allocation by a
-//! counting global allocator, and tracing must not change that.
+//! serving stack built on top of them (coalescing, τ-certified cache
+//! hits, degraded θ̂ answers) has behavior no single counter block can
+//! explain. This crate supplies the observability primitives every layer
+//! shares, designed around one hard constraint: the drive loops they
+//! instrument are proven zero-allocation by a counting global allocator,
+//! and tracing must not change that.
 //!
 //! * [`FlightRecorder`] — a preallocated ring of fixed-size binary
 //!   [`TraceEvent`]s stamped with a monotonic clock. Recording is a

@@ -16,15 +16,11 @@
 //!   receive the leader's canonicalized answer by the same τ-prefix rule —
 //!   one cold run per shape per burst, so a multi-worker pool cannot
 //!   stampede the subsystem re-computing one answer;
-//! * **shared scan frontiers**: concurrent non-identical queries sweep
-//!   each grade-sorted list through one shared materialized prefix, so a
-//!   rank is fetched from the subsystem once per service, not once per
-//!   query — while bounds, halting and accounting stay private per query;
 //! * **admission control**: an exact queue-depth cap and per-query
 //!   middleware-cost budgets, both rejecting with typed [`ServeError`]s;
 //! * **observability** ([`ServiceMetrics`]): throughput, cache hit rate,
-//!   coalesced/shared-scan counters, and bounded log₂-bucket histograms
-//!   for per-query middleware cost and wall-clock latency; a zero-steady-
+//!   coalesced counters, and bounded log₂-bucket histograms for
+//!   per-query middleware cost and wall-clock latency; a zero-steady-
 //!   state-allocation flight recorder merging every query's lifecycle
 //!   events into one service-wide ring ([`TopKService::flight_events`]);
 //!   a Prometheus text endpoint ([`TopKService::metrics_text`]); and a
@@ -64,7 +60,6 @@ pub mod error;
 mod inflight;
 pub mod metrics;
 pub mod request;
-mod scanhub;
 pub mod service;
 
 pub use cache::{CacheHit, CachedRun, ResultCache};

@@ -272,8 +272,6 @@ impl Recorder {
             source_faults: self.source_faults.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            shared_scan_served: 0,
-            shared_scan_extended: 0,
             elapsed_secs: elapsed,
             queries_per_sec: if elapsed > 0.0 {
                 completed as f64 / elapsed
@@ -368,18 +366,6 @@ impl Recorder {
             "fagin_breaker_trips_total",
             "Per-list circuit-breaker trips (source declared lost).",
             m.breaker_trips,
-        );
-        counter(
-            &mut out,
-            "fagin_shared_scan_served_total",
-            "Sorted accesses served from the shared scan frontier.",
-            m.shared_scan_served,
-        );
-        counter(
-            &mut out,
-            "fagin_shared_scan_extended_total",
-            "Sorted accesses that extended the shared scan frontier.",
-            m.shared_scan_extended,
         );
         gauge(
             &mut out,
@@ -476,13 +462,6 @@ pub struct ServiceMetrics {
     /// the threshold and the source was declared lost until a half-open
     /// probe succeeds.
     pub breaker_trips: u64,
-    /// Sorted accesses served from the shared scan frontier's
-    /// already-materialized prefix (sweep work some other query paid for).
-    /// Zero when scan sharing is disabled.
-    pub shared_scan_served: u64,
-    /// Sorted accesses that extended the shared scan frontier (fresh
-    /// subsystem sweep work). Zero when scan sharing is disabled.
-    pub shared_scan_extended: u64,
     /// Seconds since the service started.
     pub elapsed_secs: f64,
     /// `completed / elapsed_secs`.
@@ -510,7 +489,7 @@ impl fmt::Display for ServiceMetrics {
             f,
             "{} queries ({:.1}/s) | hit rate {:.1}% | coalesced {} | degraded {} | \
              cost p50 {} p99 {} | latency p50 {} p99 {} | rejected {}+{} | failed {} | \
-             panics {} | faults {} (retried {}, trips {}) | shared scans {}/{}",
+             panics {} | faults {} (retried {}, trips {})",
             self.completed,
             self.queries_per_sec,
             self.cache_hit_rate * 100.0,
@@ -527,8 +506,6 @@ impl fmt::Display for ServiceMetrics {
             self.source_faults,
             self.retries,
             self.breaker_trips,
-            self.shared_scan_served,
-            self.shared_scan_served + self.shared_scan_extended,
         )
     }
 }

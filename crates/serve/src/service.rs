@@ -10,7 +10,7 @@
 //! exactly the Garlic middleware shape of the paper's introduction, with
 //! the paper's algorithms behind the counter.
 //!
-//! The service layers five serving concerns on top of the library:
+//! The service layers four serving concerns on top of the library:
 //!
 //! 1. **the threshold-aware result cache** (see [`crate::cache`]): repeat
 //!    and smaller-`k` queries are answered in `O(k)` with zero middleware
@@ -24,21 +24,16 @@
 //!    "lookup, else join or lead" and "insert, then retire the flight"
 //!    are atomic: exactly one cold run per shape per burst, by
 //!    construction, with no gap for a stampede to slip through;
-//! 3. **shared scan frontiers** (`crate::scanhub`): concurrent
-//!    non-identical queries sweep the grade-sorted lists through one
-//!    shared materialized prefix, fetching each rank from the subsystem
-//!    once per service rather than once per query — while every query's
-//!    bounds, halting state and accounting stay private to its session;
-//! 4. **admission control**: a queue-depth cap rejects work before it
+//! 3. **admission control**: a queue-depth cap rejects work before it
 //!    queues ([`ServeError::QueueFull`]) and per-query middleware-cost
 //!    budgets abort runaway queries mid-run
 //!    ([`ServeError::CostBudgetExceeded`]), both typed so clients can
 //!    react. Worker panics are caught at the loop: the caller's ticket
 //!    resolves to [`ServeError::WorkerPanicked`] and the worker survives;
-//! 5. **observability**: a [`ServiceMetrics`] snapshot with throughput,
-//!    cache hit rate, coalescing and shared-scan counters, and bounded
-//!    log₂-bucket histograms for per-query cost and latency; plus the
-//!    flight recorder — every query's lifecycle (admission, cache probe,
+//! 4. **observability**: a [`ServiceMetrics`] snapshot with throughput,
+//!    cache hit rate, coalescing counters, and bounded log₂-bucket
+//!    histograms for per-query cost and latency; plus the flight
+//!    recorder — every query's lifecycle (admission, cache probe,
 //!    coalesce join, drive-loop rounds, halt, delivery) lands as
 //!    fixed-size binary events in one preallocated service-wide ring
 //!    ([`TopKService::flight_events`]), exportable as Chrome-trace JSON —
@@ -72,7 +67,6 @@ use crate::error::ServeError;
 use crate::inflight::{self, Flight, FlightAnswer, FlightOutcome, InflightMap, Join};
 use crate::metrics::{Recorder, ServiceMetrics, SlowQuery};
 use crate::request::QueryRequest;
-use crate::scanhub::ScanHub;
 
 /// How many failed follows (leader errored, or its answer could not serve
 /// our `k`) a query tolerates before it stops coalescing and runs solo.
@@ -202,10 +196,6 @@ pub struct ServiceConfig {
     /// leader run (single-flight). On by default; turn off only to
     /// measure the stampede it prevents.
     pub coalescing: bool,
-    /// Whether worker sessions share one scan frontier per list, so
-    /// concurrent non-identical queries reuse each other's sorted sweep.
-    /// On by default; observationally invisible either way.
-    pub scan_sharing: bool,
     /// Whether the database satisfies the distinctness property (§6);
     /// `None` detects it once at construction.
     pub distinctness: Option<bool>,
@@ -229,7 +219,6 @@ impl Default for ServiceConfig {
             queue_cap: 1024,
             cache_capacity: Some(128),
             coalescing: true,
-            scan_sharing: true,
             distinctness: None,
             fault_plan: None,
             retry: RetryPolicy::default(),
@@ -267,13 +256,6 @@ impl ServiceConfig {
     /// run, as the pre-coalescing service did).
     pub fn without_coalescing(mut self) -> Self {
         self.coalescing = false;
-        self
-    }
-
-    /// Disables the shared scan frontier (every session sweeps the
-    /// subsystem privately).
-    pub fn without_scan_sharing(mut self) -> Self {
-        self.scan_sharing = false;
         self
     }
 
@@ -354,7 +336,6 @@ struct Shared {
     admission: Mutex<Coalescer>,
     cache_enabled: bool,
     coalescing: bool,
-    scan_hub: Option<ScanHub>,
     recorder: Recorder,
     queue_len: AtomicUsize,
     queue_cap: usize,
@@ -434,9 +415,6 @@ impl<'db> WorkerSource<'db> {
                 .expect("local backends hold a database");
             let mut session = Session::new(db);
             session.attach_recorder(recorder);
-            if let Some(hub) = &shared.scan_hub {
-                session.share_scans(Arc::clone(hub.frontier()));
-            }
             session
         };
         match &shared.backend {
@@ -664,13 +642,12 @@ impl TopKService {
         let distinctness = config
             .distinctness
             .unwrap_or_else(|| db.satisfies_distinctness());
-        let scan_hub = config.scan_sharing.then(|| ScanHub::new(Arc::clone(&db)));
         let lists = db.num_lists();
         let backend = match &config.fault_plan {
             Some(plan) => WorkerBackend::Faulty { plan: plan.clone() },
             None => WorkerBackend::Local,
         };
-        Self::start(Some(db), lists, distinctness, scan_hub, backend, config)
+        Self::start(Some(db), lists, distinctness, backend, config)
     }
 
     /// Starts the worker pool over a *remote* shard server: each worker
@@ -702,21 +679,13 @@ impl TopKService {
             info,
             timeout: REMOTE_TIMEOUT,
         };
-        Ok(Self::start(
-            None,
-            info.lists,
-            distinctness,
-            None,
-            backend,
-            config,
-        ))
+        Ok(Self::start(None, info.lists, distinctness, backend, config))
     }
 
     fn start(
         db: Option<Arc<Database>>,
         lists: usize,
         distinctness: bool,
-        scan_hub: Option<ScanHub>,
         backend: WorkerBackend,
         config: ServiceConfig,
     ) -> Self {
@@ -735,7 +704,6 @@ impl TopKService {
             }),
             cache_enabled: config.cache_capacity.is_some(),
             coalescing: config.coalescing,
-            scan_hub,
             recorder: Recorder::new(),
             queue_len: AtomicUsize::new(0),
             queue_cap: config.queue_cap,
@@ -904,12 +872,7 @@ impl TopKService {
 
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> ServiceMetrics {
-        let mut m = self.shared.recorder.snapshot();
-        if let Some(hub) = &self.shared.scan_hub {
-            m.shared_scan_served = hub.frontier().served_shared();
-            m.shared_scan_extended = hub.frontier().served_fresh();
-        }
-        m
+        self.shared.recorder.snapshot()
     }
 
     /// The Prometheus text exposition of every service counter and
@@ -1429,9 +1392,6 @@ fn run_query(
         }
         None => 0,
     };
-    // Attachment accounting only: the frontier itself lives in the
-    // worker's session for the worker's whole life.
-    let _lease = shared.scan_hub.as_ref().map(ScanHub::lease);
     let warm_seeds = warm.as_ref().map(WarmStart::len);
 
     let agg = req.agg.instance();
@@ -1864,44 +1824,15 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_and_sharing_disabled_still_serves() {
-        // The fully stripped configuration is the pre-coalescing service.
-        let service = TopKService::new(
-            db(),
-            ServiceConfig::default()
-                .without_coalescing()
-                .without_scan_sharing(),
-        );
+    fn coalescing_disabled_still_serves() {
+        // Without coalescing the service is the pre-coalescing service.
+        let service = TopKService::new(db(), ServiceConfig::default().without_coalescing());
         let cold = service.query(QueryRequest::new(AggSpec::Sum, 3)).unwrap();
         assert_eq!(cold.source, AnswerSource::Cold);
         let hit = service.query(QueryRequest::new(AggSpec::Sum, 2)).unwrap();
         assert!(hit.is_cache_hit());
         let m = service.metrics();
         assert_eq!(m.coalesced, 0);
-        assert_eq!(m.shared_scan_served + m.shared_scan_extended, 0);
-    }
-
-    #[test]
-    fn scan_sharing_reports_frontier_traffic() {
-        let service = TopKService::new(db(), ServiceConfig::default());
-        service
-            .query(QueryRequest::new(AggSpec::Average, 3))
-            .unwrap();
-        let first = service.metrics();
-        assert!(
-            first.shared_scan_extended > 0,
-            "a cold run must extend the shared frontier"
-        );
-        service.clear_cache();
-        service
-            .query(QueryRequest::new(AggSpec::Average, 3))
-            .unwrap();
-        let second = service.metrics();
-        assert_eq!(
-            second.shared_scan_extended, first.shared_scan_extended,
-            "the repeat re-reads the frontier without new subsystem fetches"
-        );
-        assert!(second.shared_scan_served > first.shared_scan_served);
     }
 
     #[test]

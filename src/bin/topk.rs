@@ -585,10 +585,7 @@ fn run_service_batch(
         metrics.completed,
         metrics.degraded,
     );
-    println!(
-        "coalesced: {} rides on in-flight runs, shared scans: {} served / {} extended",
-        metrics.coalesced, metrics.shared_scan_served, metrics.shared_scan_extended,
-    );
+    println!("coalesced: {} rides on in-flight runs", metrics.coalesced);
     println!(
         "middleware cost per query: p50 {} p99 {}",
         metrics.cost_p50.map_or("-".into(), |c| format!("{c:.1}")),

@@ -1,5 +1,5 @@
 //! Stampede-proofing of the query service: single-flight coalescing and
-//! the shared scan frontier.
+//! concurrent workers.
 //!
 //! The load-bearing guarantees, each checked here:
 //!
@@ -7,9 +7,10 @@
 //!   execution per unique shape — every other answer is a coalesced ride
 //!   or a cache hit, and all of them are bytewise identical to the cold
 //!   answer (the τ-prefix rule at work across threads);
-//! * cross-query scan sharing is **observationally invisible**: a service
-//!   with the shared frontier returns the same items *and* the same
-//!   per-query access statistics as a service sweeping privately.
+//! * concurrency is **observationally invisible**: a multi-worker service
+//!   running a mixed stream all at once returns the same items *and* the
+//!   same per-query access statistics as one worker answering the stream
+//!   one query at a time.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,7 +101,6 @@ fn a_burst_of_identical_queries_cold_runs_exactly_once_per_shape() {
         db,
         ServiceConfig::default()
             .without_coalescing()
-            .without_scan_sharing()
             .without_cache(),
     );
     for (shape_idx, req) in shapes.iter().enumerate() {
@@ -213,19 +213,18 @@ fn a_leader_lost_to_source_loss_fails_its_followers_fast() {
 }
 
 #[test]
-fn scan_sharing_is_bytewise_invisible_for_mixed_streams() {
+fn concurrent_workers_are_bytewise_invisible_for_mixed_streams() {
     let db = db(2_500);
     // Caching and coalescing off on both sides: every query must execute,
-    // so the comparison isolates the shared frontier itself.
+    // so the comparison isolates concurrent execution itself.
     let base = ServiceConfig::default()
-        .with_workers(4)
         .without_cache()
         .without_coalescing();
-    let sharing = TopKService::new(Arc::clone(&db), base.clone());
-    let isolated = TopKService::new(Arc::clone(&db), base.without_scan_sharing());
+    let concurrent = TopKService::new(Arc::clone(&db), base.clone().with_workers(4));
+    let sequential = TopKService::new(Arc::clone(&db), base.with_workers(1));
 
     // A mixed stream: different algorithms, aggregations, k and policies,
-    // repeated so concurrent runs actually overlap on the frontier.
+    // repeated so concurrent runs actually overlap on the same lists.
     let shapes = [
         QueryRequest::new(AggSpec::Average, 12),
         QueryRequest::new(AggSpec::Min, 5),
@@ -239,38 +238,26 @@ fn scan_sharing_is_bytewise_invisible_for_mixed_streams() {
     ];
     let stream: Vec<QueryRequest> = (0..6).flat_map(|_| shapes.iter().cloned()).collect();
 
-    // Drive the sharing service concurrently (frontier contention is the
-    // point), then replay the same stream on the isolated service.
+    // Submit the whole stream at once to the 4-worker service, then replay
+    // it one query at a time on the 1-worker service.
     let tickets: Vec<_> = stream
         .iter()
-        .map(|req| sharing.submit(req.clone()).unwrap())
+        .map(|req| concurrent.submit(req.clone()).unwrap())
         .collect();
-    let shared_answers: Vec<QueryResponse> =
+    let concurrent_answers: Vec<QueryResponse> =
         tickets.into_iter().map(|t| t.wait().unwrap()).collect();
 
-    for (req, shared) in stream.iter().zip(&shared_answers) {
-        let alone = isolated.query(req.clone()).unwrap();
+    for (req, together) in stream.iter().zip(&concurrent_answers) {
+        let alone = sequential.query(req.clone()).unwrap();
         assert_eq!(
-            shared.items, alone.items,
-            "shared-scan answers must be bytewise identical ({req:?})"
+            together.items, alone.items,
+            "concurrent answers must be bytewise identical ({req:?})"
         );
         assert_eq!(
-            shared.stats, alone.stats,
-            "shared scans must not change per-query accounting ({req:?})"
+            together.stats, alone.stats,
+            "concurrency must not change per-query accounting ({req:?})"
         );
-        assert_eq!(shared.algorithm, alone.algorithm);
-        assert_eq!(shared.cost, alone.cost);
+        assert_eq!(together.algorithm, alone.algorithm);
+        assert_eq!(together.cost, alone.cost);
     }
-
-    let m = sharing.metrics();
-    assert!(
-        m.shared_scan_served > 0,
-        "repeated shapes must re-read the shared frontier"
-    );
-    assert!(
-        m.shared_scan_extended > 0,
-        "cold sweeps extend the frontier"
-    );
-    let iso = isolated.metrics();
-    assert_eq!(iso.shared_scan_served + iso.shared_scan_extended, 0);
 }
