@@ -17,7 +17,7 @@ use crate::arena::RunScratch;
 use crate::output::{AlgoError, HaltReason, RunMetrics, TopKOutput};
 
 use super::engine::{BookkeepingStrategy, BoundEngine};
-use super::{validate, TopKAlgorithm};
+use super::{random_one, validate, TopKAlgorithm};
 
 /// The Combined Algorithm.
 ///
@@ -172,7 +172,7 @@ impl Ca {
                         if drive.lost[list] {
                             continue;
                         }
-                        match mw.random_lookup(list, object) {
+                        match random_one(mw, list, object, &mut drive.grades) {
                             Ok(g) => engine.learn_random(object, list, g),
                             Err(e) if e.is_source_loss() => {
                                 drive.lost[list] = true;

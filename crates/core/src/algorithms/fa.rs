@@ -15,14 +15,14 @@
 //! reuse the storage — one flat stripe per object instead of a
 //! `HashMap<ObjectId, PartialObject>` full of boxed rows.
 
-use fagin_middleware::{Middleware, ObjectId};
+use fagin_middleware::{Entry, EventKind, Grade, Middleware, ObjectId};
 
 use crate::aggregation::Aggregation;
 use crate::arena::{RowTable, RunScratch};
 use crate::buffer::TopKBuffer;
-use crate::output::{AlgoError, RunMetrics, TopKOutput};
+use crate::output::{AlgoError, HaltReason, RunMetrics, TopKOutput};
 
-use super::{validate, TopKAlgorithm};
+use super::{random_one, sorted_one, validate, TopKAlgorithm};
 
 /// Reusable per-run storage for FA, owned by
 /// [`RunScratch`](crate::arena::RunScratch).
@@ -33,7 +33,10 @@ pub(crate) struct FaScratch {
     /// First-sighting order (sorted by id before phase 2 for determinism).
     order: Vec<ObjectId>,
     buffer: TopKBuffer,
-    scratch: Vec<fagin_middleware::Grade>,
+    scratch: Vec<Grade>,
+    /// The one-slot access buffers behind the batch-of-one calls.
+    entries: Vec<Entry>,
+    grades: Vec<Grade>,
 }
 
 /// Fagin's Algorithm.
@@ -80,7 +83,7 @@ impl TopKAlgorithm for Fa {
                 if *done {
                     continue;
                 }
-                let Some(entry) = mw.sorted_next(i)? else {
+                let Some(entry) = sorted_one(mw, i, &mut s.entries)? else {
                     *done = true;
                     continue;
                 };
@@ -109,7 +112,7 @@ impl TopKAlgorithm for Fa {
             let idx = object.index();
             for i in 0..m {
                 if !s.rows.knows(idx, i) {
-                    let g = mw.random_lookup(i, object)?;
+                    let g = random_one(mw, i, object, &mut s.grades)?;
                     s.rows.learn(idx, i, g);
                 }
             }
@@ -120,6 +123,7 @@ impl TopKAlgorithm for Fa {
             s.buffer.offer(object, grade);
         }
 
+        mw.trace(EventKind::Halt, HaltReason::Converged.code(), rounds);
         let mut metrics = RunMetrics::new();
         metrics.rounds = rounds;
         metrics.peak_buffer = peak_buffer;

@@ -14,7 +14,7 @@ use crate::arena::RunScratch;
 use crate::output::{AlgoError, HaltReason, RunMetrics, TopKOutput};
 
 use super::engine::{BookkeepingStrategy, BoundEngine};
-use super::{validate, TopKAlgorithm};
+use super::{random_one, sorted_one, validate, TopKAlgorithm};
 
 /// The intermittent baseline: TA's random-access order, delayed in batches
 /// of one phase per `h` rounds of sorted access.
@@ -84,7 +84,7 @@ impl TopKAlgorithm for Intermittent {
                 if *done {
                     continue;
                 }
-                match mw.sorted_next(i)? {
+                match sorted_one(mw, i, &mut drive.batch_buf)? {
                     None => *done = true,
                     Some(entry) => {
                         engine.observe_sorted(i, entry);
@@ -108,7 +108,7 @@ impl TopKAlgorithm for Intermittent {
                     }
                     engine.missing_fields_into(object, &mut drive.missing);
                     for &list in drive.missing.iter() {
-                        let g = mw.random_lookup(list, object)?;
+                        let g = random_one(mw, list, object, &mut drive.grades)?;
                         engine.learn_random(object, list, g);
                     }
                     engine.refresh_selection();

@@ -12,13 +12,13 @@
 
 use std::collections::HashMap;
 
-use fagin_middleware::{Grade, Middleware, ObjectId};
+use fagin_middleware::{EventKind, Grade, Middleware, ObjectId};
 
 use crate::aggregation::Aggregation;
 use crate::buffer::TopKBuffer;
-use crate::output::{AlgoError, RunMetrics, TopKOutput};
+use crate::output::{AlgoError, HaltReason, RunMetrics, TopKOutput};
 
-use super::{validate, TopKAlgorithm};
+use super::{sorted_one, validate, TopKAlgorithm};
 
 /// Specialist top-`k` algorithm for `t = max`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -82,6 +82,7 @@ impl TopKAlgorithm for MaxTopK {
         // object.
         let mut best: HashMap<ObjectId, Grade> = HashMap::new();
         let mut exhausted = vec![false; m];
+        let mut entries = Vec::with_capacity(1);
         let mut rounds = 0u64;
         for _ in 0..k {
             if exhausted.iter().all(|&e| e) {
@@ -92,7 +93,7 @@ impl TopKAlgorithm for MaxTopK {
                 if *done {
                     continue;
                 }
-                let Some(entry) = mw.sorted_next(i)? else {
+                let Some(entry) = sorted_one(mw, i, &mut entries)? else {
                     *done = true;
                     continue;
                 };
@@ -101,6 +102,7 @@ impl TopKAlgorithm for MaxTopK {
                     .or_insert(entry.grade);
             }
         }
+        mw.trace(EventKind::Halt, HaltReason::Converged.code(), rounds);
 
         let mut buffer = TopKBuffer::new(k);
         let mut objects: Vec<ObjectId> = best.keys().copied().collect();

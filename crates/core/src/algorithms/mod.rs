@@ -44,7 +44,7 @@ pub(crate) use engine::EngineScratch;
 pub(crate) use fa::FaScratch;
 pub(crate) use ta::TaScratch;
 
-use fagin_middleware::Middleware;
+use fagin_middleware::{AccessError, Entry, Grade, Middleware, ObjectId};
 
 use crate::aggregation::Aggregation;
 use crate::anytime::AnytimeConfig;
@@ -137,6 +137,31 @@ pub(crate) fn validate(
         });
     }
     Ok(())
+}
+
+/// One sorted access on `list`: a batch of one through the reused `buf`, so
+/// a drive loop never pays [`Middleware::sorted_next`]'s per-call buffer.
+pub(crate) fn sorted_one(
+    mw: &mut dyn Middleware,
+    list: usize,
+    buf: &mut Vec<Entry>,
+) -> Result<Option<Entry>, AccessError> {
+    buf.clear();
+    mw.sorted_next_batch(list, 1, buf)?;
+    Ok(buf.pop())
+}
+
+/// One random access: a batch of one through the reused `buf`, so a drive
+/// loop never pays [`Middleware::random_lookup`]'s per-call buffer.
+pub(crate) fn random_one(
+    mw: &mut dyn Middleware,
+    list: usize,
+    object: ObjectId,
+    buf: &mut Vec<Grade>,
+) -> Result<Grade, AccessError> {
+    buf.clear();
+    mw.random_lookup_many(list, &[object], buf)?;
+    Ok(buf[0])
 }
 
 #[cfg(test)]

@@ -7,14 +7,14 @@
 //! no-random-access class of §8.1 and the only instance-optimal algorithm
 //! when `c_S = 0` (see the discussion after Corollary 6.2).
 
-use fagin_middleware::Middleware;
+use fagin_middleware::{EventKind, Middleware};
 
 use crate::aggregation::Aggregation;
 use crate::bounds::PartialObject;
 use crate::buffer::TopKBuffer;
-use crate::output::{AlgoError, RunMetrics, TopKOutput};
+use crate::output::{AlgoError, HaltReason, RunMetrics, TopKOutput};
 
-use super::{validate, TopKAlgorithm};
+use super::{sorted_one, validate, TopKAlgorithm};
 
 /// The full-scan baseline.
 #[derive(Clone, Copy, Debug, Default)]
@@ -39,13 +39,14 @@ impl TopKAlgorithm for Naive {
         let mut rows: Vec<PartialObject> = Vec::new();
         let mut rounds = 0u64;
         let mut exhausted = vec![false; m];
+        let mut entries = Vec::with_capacity(1);
         while !exhausted.iter().all(|&e| e) {
             rounds += 1;
             for (i, done) in exhausted.iter_mut().enumerate() {
                 if *done {
                     continue;
                 }
-                match mw.sorted_next(i)? {
+                match sorted_one(mw, i, &mut entries)? {
                     None => *done = true,
                     Some(entry) => {
                         let idx = entry.object.index();
@@ -67,6 +68,7 @@ impl TopKAlgorithm for Naive {
             buffer.offer(fagin_middleware::ObjectId::from(idx), grade);
         }
 
+        mw.trace(EventKind::Halt, HaltReason::Converged.code(), rounds);
         let mut metrics = RunMetrics::new();
         metrics.rounds = rounds;
         metrics.peak_buffer = rows.len();

@@ -18,14 +18,14 @@
 //! rates stay within constant multiples of each other preserves both
 //! correctness and instance optimality.
 
-use fagin_middleware::{Grade, Middleware};
+use fagin_middleware::{EventKind, Grade, Middleware};
 
 use crate::aggregation::Aggregation;
 use crate::bounds::Bottoms;
 use crate::buffer::TopKBuffer;
-use crate::output::{AlgoError, RunMetrics, TopKOutput};
+use crate::output::{AlgoError, HaltReason, RunMetrics, TopKOutput};
 
-use super::{validate, TopKAlgorithm};
+use super::{random_one, sorted_one, validate, TopKAlgorithm};
 
 /// TA with heuristic (non-lockstep) sorted-access scheduling.
 #[derive(Clone, Copy, Debug)]
@@ -84,6 +84,8 @@ impl TopKAlgorithm for QuickCombine {
 
         let mut scratch: Vec<Grade> = Vec::with_capacity(m);
         let mut row: Vec<Grade> = vec![Grade::ZERO; m];
+        let mut entries = Vec::with_capacity(1);
+        let mut grades = Vec::with_capacity(1);
         let mut steps = 0u64;
         let mut halted = false;
 
@@ -116,7 +118,7 @@ impl TopKAlgorithm for QuickCombine {
                 }
             }
 
-            let Some(entry) = mw.sorted_next(list)? else {
+            let Some(entry) = sorted_one(mw, list, &mut entries)? else {
                 exhausted[list] = true;
                 decline[list] = f64::NEG_INFINITY;
                 continue;
@@ -132,7 +134,7 @@ impl TopKAlgorithm for QuickCombine {
             row[list] = entry.grade;
             for (j, slot) in row.iter_mut().enumerate() {
                 if j != list {
-                    *slot = mw.random_lookup(j, entry.object)?;
+                    *slot = random_one(mw, j, entry.object, &mut grades)?;
                 }
             }
             scratch.clear();
@@ -149,6 +151,7 @@ impl TopKAlgorithm for QuickCombine {
                 }
             }
         }
+        mw.trace(EventKind::Halt, HaltReason::Converged.code(), steps);
 
         let mut metrics = RunMetrics::new();
         metrics.rounds = steps;

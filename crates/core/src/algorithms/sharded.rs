@@ -80,10 +80,11 @@ impl<A: TopKAlgorithm + Sync> Sharded<A> {
     ///
     /// Per-shard batching is configured on the *inner* algorithm (e.g.
     /// `Sharded::new(Ta::new().batched(64), 4)`): every shard runs the
-    /// inner algorithm against its own [`ShardView`] session, so shard
-    /// sessions batch independently and sharding composes with batching.
+    /// inner algorithm against its own [`Session`] on the shard's
+    /// database, so shard sessions batch independently and sharding
+    /// composes with batching.
     ///
-    /// [`ShardView`]: fagin_middleware::ShardView
+    /// [`Session`]: fagin_middleware::Session
     pub fn with_batch(mut self, batch: BatchConfig) -> Self {
         self.batch = batch;
         self
@@ -196,9 +197,9 @@ impl<A: TopKAlgorithm + Sync> Sharded<A> {
 
         // Phase 1: the inner algorithm on every shard, in parallel. Each
         // shard asks for the full k (graceful when a shard has fewer
-        // objects) so the union of answers contains the global top-k. The
-        // per-shard ShardView forwards batched accesses, so an inner
-        // algorithm's BatchConfig amortizes per shard session.
+        // objects) so the union of answers contains the global top-k. Each
+        // shard runs on its own Session, so an inner algorithm's
+        // BatchConfig amortizes per shard session.
         let per_shard: Vec<Result<TopKOutput, AlgoError>> = thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()

@@ -17,13 +17,13 @@
 
 use std::collections::HashMap;
 
-use fagin_middleware::{Grade, Middleware, ObjectId};
+use fagin_middleware::{EventKind, Grade, Middleware, ObjectId};
 
 use crate::aggregation::Aggregation;
 use crate::bounds::{Bottoms, PartialObject};
-use crate::output::{AlgoError, RunMetrics, ScoredObject, TopKOutput};
+use crate::output::{AlgoError, HaltReason, RunMetrics, ScoredObject, TopKOutput};
 
-use super::{validate, TopKAlgorithm};
+use super::{sorted_one, validate, TopKAlgorithm};
 
 /// Stream-Combine: sorted access only, upper-bound-only bookkeeping,
 /// outputs grades.
@@ -72,6 +72,7 @@ impl TopKAlgorithm for StreamCombine {
         let mut since_visit: Vec<usize> = vec![0; m];
         let weight = |i: usize| agg.linear_weight(i, m).unwrap_or(1.0).max(1e-9);
         let mut scratch: Vec<Grade> = Vec::new();
+        let mut entries = Vec::with_capacity(1);
         let mut steps = 0u64;
         let mut peak = 0usize;
 
@@ -99,7 +100,7 @@ impl TopKAlgorithm for StreamCombine {
             for (i, s) in since_visit.iter_mut().enumerate() {
                 *s = if i == list { 0 } else { *s + 1 };
             }
-            let Some(entry) = mw.sorted_next(list)? else {
+            let Some(entry) = sorted_one(mw, list, &mut entries)? else {
                 exhausted[list] = true;
                 decline[list] = f64::NEG_INFINITY;
                 continue;
@@ -120,6 +121,7 @@ impl TopKAlgorithm for StreamCombine {
             }
         };
 
+        mw.trace(EventKind::Halt, HaltReason::Converged.code(), steps);
         let items = finished.unwrap_or_default();
         let mut metrics = RunMetrics::new();
         metrics.rounds = steps;

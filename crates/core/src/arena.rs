@@ -93,8 +93,9 @@ impl RunScratch {
 }
 
 /// Reusable buffers for the round-based drive loops of NRA/CA/Intermittent
-/// (exhaustion flags, the per-round sorted batch, the intermittent
-/// algorithm's sighting queue, and the missing-fields probe list).
+/// (exhaustion flags, the per-round sorted batch, the one-slot random
+/// access buffer, the intermittent algorithm's sighting queue, and the
+/// missing-fields probe list).
 #[derive(Default)]
 pub(crate) struct DriveScratch {
     pub exhausted: Vec<bool>,
@@ -105,6 +106,7 @@ pub(crate) struct DriveScratch {
     /// end exactly via its own halting rule, or degraded/errored.
     pub lost: Vec<bool>,
     pub batch_buf: Vec<fagin_middleware::Entry>,
+    pub grades: Vec<Grade>,
     pub pending: std::collections::VecDeque<fagin_middleware::ObjectId>,
     pub missing: Vec<usize>,
 }
@@ -117,6 +119,7 @@ impl DriveScratch {
         self.lost.clear();
         self.lost.resize(m, false);
         self.batch_buf.clear();
+        self.grades.clear();
         self.pending.clear();
         self.missing.clear();
     }

@@ -118,7 +118,7 @@ impl<M: Middleware> CostBudget<M> {
     }
 
     /// Whether `list` is already exhausted (so the next sorted access is
-    /// the unbilled `Ok(None)` / `Ok(0)` signal, which must not be turned
+    /// the unbilled `Ok(0)` signal, which must not be turned
     /// into a budget violation — drive loops rely on it to retire lists).
     fn sorted_exhausted(&self, list: usize) -> bool {
         list < self.inner.num_lists() && self.inner.position(list) >= self.inner.num_objects()
@@ -132,26 +132,6 @@ impl<M: Middleware> Middleware for CostBudget<M> {
 
     fn num_objects(&self) -> usize {
         self.inner.num_objects()
-    }
-
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        if !self.sorted_exhausted(list) && self.affordable(self.model.sorted) == 0 {
-            return Err(AccessError::BudgetExhausted);
-        }
-        let served = self.inner.sorted_next(list)?;
-        if served.is_some() {
-            self.spent += self.model.sorted;
-        }
-        Ok(served)
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        if self.affordable(self.model.random) == 0 {
-            return Err(AccessError::BudgetExhausted);
-        }
-        let grade = self.inner.random_lookup(list, object)?;
-        self.spent += self.model.random;
-        Ok(grade)
     }
 
     fn sorted_next_batch(

@@ -63,7 +63,7 @@ pub use grade::{Entry, Grade, ObjectId};
 pub use list::SortedList;
 pub use policy::{AccessPolicy, SortedAccessSet};
 pub use session::{BatchConfig, Middleware, Session};
-pub use shard::{DatabaseShard, ShardView};
+pub use shard::DatabaseShard;
 pub use slots::{SlotSet, SlotTable};
 pub use source::{GeneratorSource, GradedSource, MaterializedSource, SubsystemMiddleware};
 pub use stripe::{Stripe, StripeBytes, StripeLayoutError, StripePod};

@@ -1,14 +1,15 @@
 //! Access sessions: the only surface algorithms see.
 //!
 //! A [`Session`] binds a [`Database`] to an [`AccessPolicy`] and an
-//! [`AccessStats`] counter, and exposes the two access modes of §2:
-//! [`Middleware::sorted_next`] and [`Middleware::random_lookup`] — plus
-//! their amortized batch forms [`Middleware::sorted_next_batch`] and
-//! [`Middleware::random_lookup_many`], which serve many entries per
+//! [`AccessStats`] counter, and serves the two access modes of §2 in
+//! batches: [`Middleware::sorted_next_batch`] and
+//! [`Middleware::random_lookup_many`] serve many entries per
 //! dynamic-dispatch round trip (§2's "ask the subsystem for, say, the top
-//! 10 objects … then request the next 10"). Every access is counted; policy
-//! violations surface as typed [`AccessError`]s, so tests can verify an
-//! algorithm belongs to the class `A` a theorem quantifies over.
+//! 10 objects … then request the next 10"). Scalar access
+//! ([`Middleware::sorted_next`], [`Middleware::random_lookup`]) is a batch
+//! of one. Every access is counted; policy violations surface as typed
+//! [`AccessError`]s, so tests can verify an algorithm belongs to the class
+//! `A` a theorem quantifies over.
 
 use fagin_obs::{EventKind, FlightRecorder};
 
@@ -72,11 +73,13 @@ impl Default for BatchConfig {
 /// default implementation is [`Session`]; the trait exists so algorithms can
 /// also run against instrumented or synthetic sources.
 ///
-/// The batched methods have default implementations that loop over the
-/// scalar ones, so external implementations keep compiling (and stay
-/// semantically correct) without changes; implementations that *can* serve
-/// batches cheaply override them — [`Session`] serves slices straight out
-/// of its sorted lists with one policy check and one stats bump per batch.
+/// An implementation writes one access path: the two batch methods
+/// [`Middleware::sorted_next_batch`] and [`Middleware::random_lookup_many`].
+/// Scalar access ([`Middleware::sorted_next`], [`Middleware::random_lookup`])
+/// is provided as a batch of one, so a batch of one behaves exactly like a
+/// scalar access by construction. The scalar methods allocate a one-slot
+/// buffer per call, so drive loops must not use them: they call the batch
+/// methods with a reused buffer.
 pub trait Middleware {
     /// Number of sorted lists `m`.
     fn num_lists(&self) -> usize;
@@ -88,24 +91,16 @@ pub trait Middleware {
     /// oracles do.
     fn num_objects(&self) -> usize;
 
-    /// *Sorted access*: the next entry of list `list`, proceeding from the
-    /// top. Returns `Ok(None)` when the list is exhausted (which still does
-    /// not count as an access).
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError>;
-
-    /// *Random access*: the grade of `object` in list `list`.
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError>;
-
     /// *Batched sorted access*: reads up to `max` further entries of `list`,
-    /// appends them to `out`, and returns how many were appended.
+    /// proceeding from the top, appends them to `out`, and returns how many
+    /// were appended.
     ///
-    /// Semantically equivalent to calling [`Middleware::sorted_next`] up to
-    /// `max` times — every appended entry counts as one sorted access and
-    /// the same policy applies — but a conforming implementation may do its
-    /// policy check and stats bookkeeping once per batch. Contract:
+    /// Every appended entry counts as one sorted access and the same policy
+    /// applies to each, but a conforming implementation may do its policy
+    /// check and stats bookkeeping once per batch. Contract:
     ///
-    /// * `Ok(0)` with `max > 0` means the list is exhausted (not counted,
-    ///   like the scalar `Ok(None)`).
+    /// * `Ok(0)` with `max > 0` means the list is exhausted (which does not
+    ///   count as an access).
     /// * A **short** batch (`0 < served < max`) is *not* an exhaustion
     ///   signal: an access budget may have truncated it. Callers keep
     ///   requesting until `Ok(0)` or an error.
@@ -118,41 +113,37 @@ pub trait Middleware {
         list: usize,
         max: usize,
         out: &mut Vec<Entry>,
-    ) -> Result<usize, AccessError> {
-        let mut served = 0;
-        while served < max {
-            match self.sorted_next(list) {
-                Ok(Some(entry)) => {
-                    out.push(entry);
-                    served += 1;
-                }
-                Ok(None) => break,
-                // Mid-batch policy errors truncate; the retry sees them.
-                Err(_) if served > 0 => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(served)
-    }
+    ) -> Result<usize, AccessError>;
 
     /// *Batched random access*: the grades of `objects` in `list`, appended
     /// to `out` in order.
     ///
-    /// Equivalent to calling [`Middleware::random_lookup`] per object in
-    /// order, stopping at the first error: grades fetched before the error
-    /// remain in `out` (and are counted — `out.len()` tells the caller how
-    /// far the batch got), and the error is returned. As with sorted
-    /// batches, an access budget is enforced mid-batch.
+    /// Objects are looked up in order, stopping at the first error: grades
+    /// fetched before the error remain in `out` (and are counted —
+    /// `out.len()` tells the caller how far the batch got), and the error
+    /// is returned. As with sorted batches, an access budget is enforced
+    /// mid-batch.
     fn random_lookup_many(
         &mut self,
         list: usize,
         objects: &[ObjectId],
         out: &mut Vec<Grade>,
-    ) -> Result<(), AccessError> {
-        for &object in objects {
-            out.push(self.random_lookup(list, object)?);
-        }
-        Ok(())
+    ) -> Result<(), AccessError>;
+
+    /// *Sorted access*: the next entry of list `list`, or `Ok(None)` when
+    /// the list is exhausted — a [`Middleware::sorted_next_batch`] of one.
+    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
+        let mut buf = Vec::with_capacity(1);
+        self.sorted_next_batch(list, 1, &mut buf)?;
+        Ok(buf.pop())
+    }
+
+    /// *Random access*: the grade of `object` in list `list` — a
+    /// [`Middleware::random_lookup_many`] of one.
+    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
+        let mut buf = Vec::with_capacity(1);
+        self.random_lookup_many(list, &[object], &mut buf)?;
+        Ok(buf[0])
     }
 
     /// Access counters so far.
@@ -173,7 +164,7 @@ pub trait Middleware {
     /// or even knowing whether one is attached: the middleware stamps the
     /// monotonic clock and stores the event, or does nothing at all. The
     /// default is a no-op so external implementations keep compiling;
-    /// *wrappers* (budget decorators, shard views, `&mut M`) must forward
+    /// *wrappers* (budget decorators, fault injectors, `&mut M`) must forward
     /// it or the record loses every drive-loop event.
     #[inline]
     fn trace(&mut self, kind: EventKind, detail: u32, count: u64) {
@@ -192,14 +183,6 @@ impl<M: Middleware + ?Sized> Middleware for &mut M {
 
     fn num_objects(&self) -> usize {
         (**self).num_objects()
-    }
-
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        (**self).sorted_next(list)
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        (**self).random_lookup(list, object)
     }
 
     fn sorted_next_batch(
@@ -366,13 +349,6 @@ impl<'db> Session<'db> {
             Ok(())
         }
     }
-
-    fn check_budget(&self) -> Result<(), AccessError> {
-        match self.policy.access_budget {
-            Some(b) if self.stats.total() >= b => Err(AccessError::BudgetExhausted),
-            _ => Ok(()),
-        }
-    }
 }
 
 impl Middleware for Session<'_> {
@@ -382,43 +358,6 @@ impl Middleware for Session<'_> {
 
     fn num_objects(&self) -> usize {
         self.db.num_objects()
-    }
-
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        self.check_list(list)?;
-        if !self.policy.sorted_lists.allows(list) {
-            return Err(AccessError::SortedAccessForbidden { list });
-        }
-        let pos = self.positions[list];
-        if pos >= self.db.list(list).len() {
-            return Ok(None);
-        }
-        self.check_budget()?;
-        let entry = self.db.list(list).at_rank(pos).expect("rank < len");
-        self.positions[list] = pos + 1;
-        self.stats.record_sorted(list);
-        self.seen.mark(entry.object.index());
-        Ok(Some(entry))
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        self.check_list(list)?;
-        if !self.policy.allow_random {
-            return Err(AccessError::RandomAccessForbidden { list });
-        }
-        if object.index() >= self.db.num_objects() {
-            return Err(AccessError::NoSuchObject { object });
-        }
-        if !self.policy.allow_wild_guesses && !self.seen.contains(object.index()) {
-            return Err(AccessError::WildGuess { list, object });
-        }
-        self.check_budget()?;
-        self.stats.record_random(list);
-        Ok(self
-            .db
-            .list(list)
-            .grade_of(object)
-            .expect("object exists in every list"))
     }
 
     /// Serves the batch as one slice read out of the [`SortedList`]: one
@@ -441,8 +380,8 @@ impl Middleware for Session<'_> {
         let l = db.list(list);
         let want = max.min(l.len().saturating_sub(pos));
         if want == 0 {
-            // Exhausted (or max == 0): like the scalar Ok(None), not billed
-            // and not a budget violation.
+            // Exhausted (or max == 0): not billed and not a budget
+            // violation.
             return Ok(0);
         }
         let allowed = match self.policy.access_budget {
@@ -484,8 +423,8 @@ impl Middleware for Session<'_> {
     }
 
     /// One list/policy check per batch; per-object checks (range, wild
-    /// guess, budget) keep the scalar path's order, so a failing batch
-    /// counts exactly the lookups a scalar loop would have performed.
+    /// guess, budget) run in that order, so a failing batch bills exactly
+    /// the lookups before the failing object.
     fn random_lookup_many(
         &mut self,
         list: usize,

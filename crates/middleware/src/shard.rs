@@ -18,12 +18,10 @@
 
 #![allow(clippy::needless_range_loop)] // indexing parallel columns is the clearest form here
 
-use crate::cost::AccessStats;
 use crate::database::Database;
-use crate::error::AccessError;
-use crate::grade::{Entry, Grade, ObjectId};
+use crate::grade::ObjectId;
 use crate::policy::AccessPolicy;
-use crate::session::{Middleware, Session};
+use crate::session::Session;
 
 /// One horizontal partition of a [`Database`].
 ///
@@ -71,109 +69,11 @@ impl DatabaseShard {
         &self.global_ids
     }
 
-    /// Opens a counted, policy-enforcing access session over this shard.
-    ///
-    /// The returned [`ShardView`] is the shard-side analogue of opening a
-    /// [`Session`] on the shard's database directly, plus id-translation
-    /// helpers for the merge layer.
-    pub fn session(&self, policy: AccessPolicy) -> ShardView<'_> {
-        ShardView {
-            shard: self,
-            inner: Session::with_policy(&self.database, policy),
-        }
-    }
-}
-
-/// A [`Middleware`] over one [`DatabaseShard`]: an ordinary [`Session`] on
-/// the shard's database, with the shard kept at hand for local→global id
-/// translation.
-///
-/// Every `Middleware` method forwards to the inner session — **including**
-/// the batched [`sorted_next_batch`](Middleware::sorted_next_batch) and
-/// [`random_lookup_many`](Middleware::random_lookup_many). A wrapper that
-/// relied on the trait's default scalar loops would silently de-amortize
-/// every batch an algorithm requests; explicit forwarding is what makes
-/// sharding compose with batching (each shard's session batches
-/// independently).
-#[derive(Clone, Debug)]
-pub struct ShardView<'db> {
-    shard: &'db DatabaseShard,
-    inner: Session<'db>,
-}
-
-impl<'db> ShardView<'db> {
-    /// The shard this view reads.
-    #[inline]
-    pub fn shard(&self) -> &'db DatabaseShard {
-        self.shard
-    }
-
-    /// Translates a shard-local object id to the global id.
-    #[inline]
-    pub fn to_global(&self, local: ObjectId) -> ObjectId {
-        self.shard.to_global(local)
-    }
-
-    /// Whether `local` has been seen under sorted access in this view.
-    pub fn has_seen(&self, local: ObjectId) -> bool {
-        self.inner.has_seen(local)
-    }
-
-    /// Consumes the view and returns its access counters.
-    pub fn into_stats(self) -> AccessStats {
-        self.inner.into_stats()
-    }
-}
-
-impl Middleware for ShardView<'_> {
-    fn num_lists(&self) -> usize {
-        self.inner.num_lists()
-    }
-
-    fn num_objects(&self) -> usize {
-        self.inner.num_objects()
-    }
-
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        self.inner.sorted_next(list)
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        self.inner.random_lookup(list, object)
-    }
-
-    fn sorted_next_batch(
-        &mut self,
-        list: usize,
-        max: usize,
-        out: &mut Vec<Entry>,
-    ) -> Result<usize, AccessError> {
-        self.inner.sorted_next_batch(list, max, out)
-    }
-
-    fn random_lookup_many(
-        &mut self,
-        list: usize,
-        objects: &[ObjectId],
-        out: &mut Vec<Grade>,
-    ) -> Result<(), AccessError> {
-        self.inner.random_lookup_many(list, objects, out)
-    }
-
-    fn stats(&self) -> &AccessStats {
-        self.inner.stats()
-    }
-
-    fn policy(&self) -> &AccessPolicy {
-        self.inner.policy()
-    }
-
-    fn position(&self, list: usize) -> usize {
-        self.inner.position(list)
-    }
-
-    fn trace(&mut self, kind: fagin_obs::EventKind, detail: u32, count: u64) {
-        self.inner.trace(kind, detail, count)
+    /// Opens a counted, policy-enforcing access session over this shard:
+    /// a plain [`Session`] on the shard's database, serving local ids
+    /// ([`DatabaseShard::to_global`] translates them).
+    pub fn session(&self, policy: AccessPolicy) -> Session<'_> {
+        Session::with_policy(&self.database, policy)
     }
 }
 
@@ -240,6 +140,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::grade::Grade;
+    use crate::session::Middleware;
 
     fn db() -> Database {
         Database::from_f64_columns(&[vec![0.9, 0.5, 0.1, 0.7, 0.3], vec![0.2, 0.8, 0.5, 0.4, 0.6]])
@@ -306,25 +207,26 @@ mod tests {
     }
 
     #[test]
-    fn shard_view_batches_and_translates() {
+    fn shard_session_batches_local_ids() {
         let db = db();
         let shards = db.shard(2);
         let shard = &shards[0]; // objects 0, 2, 4 round-robin
-        let mut view = shard.session(AccessPolicy::no_wild_guesses());
-        assert_eq!(view.num_objects(), 3);
+        let mut session = shard.session(AccessPolicy::no_wild_guesses());
+        assert_eq!(session.num_objects(), 3);
         let mut buf = Vec::new();
-        assert_eq!(view.sorted_next_batch(0, 10, &mut buf).unwrap(), 3);
-        assert_eq!(view.stats().sorted_on(0), 3);
-        // Entries carry local ids; the view translates to global.
-        let globals: Vec<u32> = buf.iter().map(|e| view.to_global(e.object).0).collect();
+        assert_eq!(session.sorted_next_batch(0, 10, &mut buf).unwrap(), 3);
+        assert_eq!(session.stats().sorted_on(0), 3);
+        // Entries carry local ids; the shard translates them to global.
+        let globals: Vec<u32> = buf.iter().map(|e| shard.to_global(e.object).0).collect();
         assert_eq!(globals, vec![0, 4, 2], "grades 0.9, 0.3, 0.1 descending");
-        assert!(view.has_seen(buf[0].object));
+        assert!(session.has_seen(buf[0].object));
         // Batched random lookups flow through the same policy machinery.
         let mut grades = Vec::new();
-        view.random_lookup_many(1, &[buf[0].object], &mut grades)
+        session
+            .random_lookup_many(1, &[buf[0].object], &mut grades)
             .unwrap();
         assert_eq!(grades.len(), 1);
-        assert_eq!(view.into_stats().total(), 4);
+        assert_eq!(session.into_stats().total(), 4);
     }
 
     #[test]

@@ -231,28 +231,6 @@ impl Middleware for SubsystemMiddleware {
         self.num_objects
     }
 
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        if list >= self.sources.len() {
-            return Err(AccessError::NoSuchList {
-                list,
-                num_lists: self.sources.len(),
-            });
-        }
-        if self.buffers[list].is_empty() {
-            // Prefetch the next batch from the subsystem.
-            self.prefetch(list);
-        }
-        let Some(entry) = self.buffers[list].pop_front() else {
-            return Ok(None);
-        };
-        self.positions[list] += 1;
-        self.stats.record_sorted(list);
-        if entry.object.index() < self.seen.len() {
-            self.seen[entry.object.index()] = true;
-        }
-        Ok(Some(entry))
-    }
-
     /// Fuses the algorithm-side batch with the subsystem-side prefetch
     /// buffer: entries stream from the buffer (refilled in source-batch
     /// pulls) and the whole consumed batch is billed with one stats bump.
@@ -292,8 +270,9 @@ impl Middleware for SubsystemMiddleware {
         Ok(served)
     }
 
-    /// One capability check per batch; per-object checks keep the scalar
-    /// path's order so failures bill exactly what a scalar loop would.
+    /// Per-object checks (range, capability, wild guess) run in that order,
+    /// so a failing batch bills exactly the lookups before the failing
+    /// object.
     fn random_lookup_many(
         &mut self,
         list: usize,
@@ -321,7 +300,8 @@ impl Middleware for SubsystemMiddleware {
                 failure = Some(AccessError::WildGuess { list, object });
                 break;
             }
-            // Billed before the probe, exactly like the scalar path.
+            // Billed before the probe: a probe that finds no grade still
+            // counts as an access.
             served += 1;
             match self.sources[list].probe(object) {
                 Some(g) => out.push(g),
@@ -336,28 +316,6 @@ impl Middleware for SubsystemMiddleware {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        if list >= self.sources.len() {
-            return Err(AccessError::NoSuchList {
-                list,
-                num_lists: self.sources.len(),
-            });
-        }
-        if object.index() >= self.num_objects {
-            return Err(AccessError::NoSuchObject { object });
-        }
-        if !self.sources[list].supports_probe() {
-            return Err(AccessError::RandomAccessForbidden { list });
-        }
-        if !self.policy.allow_wild_guesses && !self.seen[object.index()] {
-            return Err(AccessError::WildGuess { list, object });
-        }
-        self.stats.record_random(list);
-        self.sources[list]
-            .probe(object)
-            .ok_or(AccessError::NoSuchObject { object })
     }
 
     fn stats(&self) -> &AccessStats {

@@ -5,13 +5,14 @@
 //! [`ShardServer`](crate::ShardServer) and enforces the *entire access
 //! model on the client side* — policy checks, budget clamping, wild-guess
 //! detection, position tracking, and access accounting replicate
-//! [`Session`]'s code paths decision for decision. That is a deliberate
-//! invariant, not an optimization: with faults disabled, an algorithm
-//! driven over a `RemoteSource` must observe **byte-identical access
-//! counts** to the same algorithm over a local [`Session`] on the same
-//! database (the loopback parity tests pin this down). The server stays a
-//! dumb, stateless entry reader; everything a theorem quantifies over
-//! happens here.
+//! [`Session`]'s two batch methods decision for decision (a scalar access
+//! is a batch of one on both, sent as a one-entry request). That is a
+//! deliberate invariant, not an optimization: with faults disabled, an
+//! algorithm driven over a `RemoteSource` must observe **byte-identical
+//! access counts** to the same algorithm over a local [`Session`] on the
+//! same database (the loopback parity tests pin this down). The server
+//! stays a dumb, stateless entry reader; everything a theorem quantifies
+//! over happens here.
 //!
 //! `RemoteSource` is the *single-attempt* transport: any connection or
 //! protocol failure bills nothing, drops the stream (the next call
@@ -343,13 +344,6 @@ impl RemoteSource {
             Ok(())
         }
     }
-
-    fn check_budget(&self) -> Result<(), AccessError> {
-        match self.policy.access_budget {
-            Some(b) if self.stats.total() >= b => Err(AccessError::BudgetExhausted),
-            _ => Ok(()),
-        }
-    }
 }
 
 impl Middleware for RemoteSource {
@@ -359,45 +353,6 @@ impl Middleware for RemoteSource {
 
     fn num_objects(&self) -> usize {
         self.info.objects
-    }
-
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        self.check_list(list)?;
-        if !self.policy.sorted_lists.allows(list) {
-            return Err(AccessError::SortedAccessForbidden { list });
-        }
-        let pos = self.positions[list];
-        if pos >= self.info.objects {
-            return Ok(None);
-        }
-        self.check_budget()?;
-        let entries = self
-            .fetch_sorted(list, pos, 1)
-            .map_err(|_| AccessError::SourceUnavailable { list })?;
-        let entry = entries[0];
-        self.positions[list] = pos + 1;
-        self.stats.record_sorted(list);
-        self.seen.mark(entry.object.index());
-        Ok(Some(entry))
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        self.check_list(list)?;
-        if !self.policy.allow_random {
-            return Err(AccessError::RandomAccessForbidden { list });
-        }
-        if object.index() >= self.info.objects {
-            return Err(AccessError::NoSuchObject { object });
-        }
-        if !self.policy.allow_wild_guesses && !self.seen.contains(object.index()) {
-            return Err(AccessError::WildGuess { list, object });
-        }
-        self.check_budget()?;
-        let grades = self
-            .fetch_grades(list, &[object])
-            .map_err(|_| AccessError::SourceUnavailable { list })?;
-        self.stats.record_random(list);
-        Ok(grades[0])
     }
 
     /// Mirrors `Session::sorted_next_batch` exactly — one policy check,
@@ -458,7 +413,7 @@ impl Middleware for RemoteSource {
     }
 
     /// Mirrors `Session::random_lookup_many`: the per-object checks run
-    /// in the scalar order to find how far the batch legally reaches, one
+    /// in `Session`'s order to find how far the batch legally reaches, one
     /// RPC fetches that prefix, and exactly the fetched prefix is billed.
     /// A transport failure bills nothing (the grades never arrived).
     fn random_lookup_many(

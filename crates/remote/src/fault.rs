@@ -239,40 +239,6 @@ impl<M: Middleware> Middleware for FaultInjector<M> {
         self.inner.num_objects()
     }
 
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        match self.inject(list) {
-            Injection::Fail => Err(AccessError::SourceUnavailable { list }),
-            Injection::Delay(d) => {
-                std::thread::sleep(d);
-                self.inner.sorted_next(list)
-            }
-            // Scalars cannot be truncated below one entry; drips on a
-            // single entry degenerate to a delay.
-            Injection::SlowDrip(micros) => {
-                let r = self.inner.sorted_next(list);
-                std::thread::sleep(Duration::from_micros(micros));
-                r
-            }
-            Injection::Truncate(_) | Injection::None => self.inner.sorted_next(list),
-        }
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        match self.inject(list) {
-            Injection::Fail => Err(AccessError::SourceUnavailable { list }),
-            Injection::Delay(d) => {
-                std::thread::sleep(d);
-                self.inner.random_lookup(list, object)
-            }
-            Injection::SlowDrip(micros) => {
-                let r = self.inner.random_lookup(list, object);
-                std::thread::sleep(Duration::from_micros(micros));
-                r
-            }
-            Injection::Truncate(_) | Injection::None => self.inner.random_lookup(list, object),
-        }
-    }
-
     fn sorted_next_batch(
         &mut self,
         list: usize,

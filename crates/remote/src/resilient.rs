@@ -275,6 +275,27 @@ impl<M: Middleware> Resilient<M> {
         Ok(())
     }
 
+    /// Places `call` on `list` behind the breaker, retrying transient
+    /// failures with backoff until it succeeds or converts to a loss.
+    fn with_retries<T>(
+        &mut self,
+        list: usize,
+        mut call: impl FnMut(&mut M) -> Result<T, AccessError>,
+    ) -> Result<T, AccessError> {
+        self.admit(list)?;
+        let mut attempt = 0;
+        loop {
+            match call(&mut self.inner) {
+                Ok(v) => {
+                    self.note_success(list);
+                    return Ok(v);
+                }
+                Err(e) if e.is_retryable() => self.note_failure(list, &mut attempt)?,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Capped exponential backoff with jitter in `[1/2, 1) × window`.
     fn backoff(&mut self, attempt: u32) -> Duration {
         let window = self
@@ -303,57 +324,16 @@ impl<M: Middleware> Middleware for Resilient<M> {
         self.inner.num_objects()
     }
 
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        self.admit(list)?;
-        let mut attempt = 0;
-        loop {
-            match self.inner.sorted_next(list) {
-                Ok(v) => {
-                    self.note_success(list);
-                    return Ok(v);
-                }
-                Err(e) if e.is_retryable() => self.note_failure(list, &mut attempt)?,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        self.admit(list)?;
-        let mut attempt = 0;
-        loop {
-            match self.inner.random_lookup(list, object) {
-                Ok(v) => {
-                    self.note_success(list);
-                    return Ok(v);
-                }
-                Err(e) if e.is_retryable() => self.note_failure(list, &mut attempt)?,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     fn sorted_next_batch(
         &mut self,
         list: usize,
         max: usize,
         out: &mut Vec<Entry>,
     ) -> Result<usize, AccessError> {
-        self.admit(list)?;
-        let mut attempt = 0;
-        loop {
-            // A failing sorted batch appends nothing (transient transport
-            // errors bill nothing; contract errors that bill truncate to
-            // Ok), so the retry re-issues the identical request.
-            match self.inner.sorted_next_batch(list, max, out) {
-                Ok(n) => {
-                    self.note_success(list);
-                    return Ok(n);
-                }
-                Err(e) if e.is_retryable() => self.note_failure(list, &mut attempt)?,
-                Err(e) => return Err(e),
-            }
-        }
+        // A failing sorted batch appends nothing (transient transport
+        // errors bill nothing; contract errors that bill truncate to Ok),
+        // so the retry re-issues the identical request.
+        self.with_retries(list, |inner| inner.sorted_next_batch(list, max, out))
     }
 
     fn random_lookup_many(
@@ -362,23 +342,14 @@ impl<M: Middleware> Middleware for Resilient<M> {
         objects: &[ObjectId],
         out: &mut Vec<Grade>,
     ) -> Result<(), AccessError> {
-        self.admit(list)?;
+        // A transient failure may have served (and billed) a prefix — `out`
+        // tells us how far it got; retry only the remainder so nothing is
+        // double-billed.
         let base = out.len();
-        let mut attempt = 0;
-        loop {
-            // A transient failure may have served (and billed) a prefix —
-            // `out` tells us how far it got; retry only the remainder so
-            // nothing is double-billed.
+        self.with_retries(list, |inner| {
             let done = out.len() - base;
-            match self.inner.random_lookup_many(list, &objects[done..], out) {
-                Ok(()) => {
-                    self.note_success(list);
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => self.note_failure(list, &mut attempt)?,
-                Err(e) => return Err(e),
-            }
-        }
+            inner.random_lookup_many(list, &objects[done..], out)
+        })
     }
 
     fn stats(&self) -> &AccessStats {

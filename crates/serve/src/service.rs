@@ -525,22 +525,6 @@ impl Middleware for WorkerSource<'_> {
         }
     }
 
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        match self {
-            WorkerSource::Local(s) => s.sorted_next(list),
-            WorkerSource::Faulty(r) => r.sorted_next(list),
-            WorkerSource::Remote(r) => r.sorted_next(list),
-        }
-    }
-
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        match self {
-            WorkerSource::Local(s) => s.random_lookup(list, object),
-            WorkerSource::Faulty(r) => r.random_lookup(list, object),
-            WorkerSource::Remote(r) => r.random_lookup(list, object),
-        }
-    }
-
     fn sorted_next_batch(
         &mut self,
         list: usize,

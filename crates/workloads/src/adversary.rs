@@ -40,7 +40,6 @@ pub struct AdaptiveAdversary {
     unassigned_objects: BTreeSet<u32>,
     /// Ranks not yet bound, kept split so loser slots are spent first.
     free_loser_ranks: BTreeSet<usize>,
-    seen_sorted: Vec<bool>,
 }
 
 impl AdaptiveAdversary {
@@ -56,7 +55,6 @@ impl AdaptiveAdversary {
             rank_of: vec![None; total],
             unassigned_objects: (0..total as u32).collect(),
             free_loser_ranks: (0..total).filter(|&r| r != n).collect(),
-            seen_sorted: vec![false; total],
         }
     }
 
@@ -178,36 +176,51 @@ impl Middleware for AdaptiveAdversary {
         self.total_objects()
     }
 
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
+    /// Serves the ranks one by one, in order, so each binds lazily exactly
+    /// as a run of single sorted accesses would bind it.
+    fn sorted_next_batch(
+        &mut self,
+        list: usize,
+        max: usize,
+        out: &mut Vec<Entry>,
+    ) -> Result<usize, AccessError> {
         if list >= 2 {
             return Err(AccessError::NoSuchList { list, num_lists: 2 });
         }
-        let pos = self.positions[list];
-        if pos >= self.total_objects() {
-            return Ok(None);
+        let start = self.positions[list];
+        let served = max.min(self.total_objects() - start);
+        for pos in start..start + served {
+            // L₁ rank corresponding to this access.
+            let l1_rank = if list == 0 { pos } else { 2 * self.n - pos };
+            let object = self.object_for_rank(l1_rank);
+            out.push(Entry {
+                object,
+                grade: self.grade(list, l1_rank),
+            });
         }
-        self.positions[list] = pos + 1;
-        self.stats.record_sorted(list);
-        // L₁ rank corresponding to this access.
-        let l1_rank = if list == 0 { pos } else { 2 * self.n - pos };
-        let object = self.object_for_rank(l1_rank);
-        self.seen_sorted[object.index()] = true;
-        Ok(Some(Entry {
-            object,
-            grade: self.grade(list, l1_rank),
-        }))
+        self.positions[list] = start + served;
+        self.stats.record_sorted_n(list, served as u64);
+        Ok(served)
     }
 
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
+    fn random_lookup_many(
+        &mut self,
+        list: usize,
+        objects: &[ObjectId],
+        out: &mut Vec<Grade>,
+    ) -> Result<(), AccessError> {
         if list >= 2 {
             return Err(AccessError::NoSuchList { list, num_lists: 2 });
         }
-        if object.index() >= self.total_objects() {
-            return Err(AccessError::NoSuchObject { object });
+        for &object in objects {
+            if object.index() >= self.total_objects() {
+                return Err(AccessError::NoSuchObject { object });
+            }
+            self.stats.record_random(list);
+            let rank = self.rank_for_object(object);
+            out.push(self.grade(list, rank));
         }
-        self.stats.record_random(list);
-        let rank = self.rank_for_object(object);
-        Ok(self.grade(list, rank))
+        Ok(())
     }
 
     fn stats(&self) -> &AccessStats {
@@ -291,6 +304,51 @@ mod tests {
         }
         assert!(adv.sorted_next(0).unwrap().is_none());
         assert_eq!(adv.position(0), 3);
+    }
+
+    /// What a run has observably done to the adversary.
+    fn state(adv: &AdaptiveAdversary) -> (AccessStats, [usize; 2], Option<ObjectId>) {
+        let positions = [adv.position(0), adv.position(1)];
+        (adv.stats().clone(), positions, adv.committed_winner())
+    }
+
+    #[test]
+    fn one_sorted_batch_equals_single_steps() {
+        let (n, total) = (4, 9);
+        for list in 0..2 {
+            let mut batched = AdaptiveAdversary::new(n);
+            let mut entries = Vec::new();
+            assert_eq!(
+                batched.sorted_next_batch(list, total, &mut entries),
+                Ok(total)
+            );
+            let mut stepped = AdaptiveAdversary::new(n);
+            let steps: Vec<Entry> = (0..total)
+                .map(|_| stepped.sorted_next(list).unwrap().unwrap())
+                .collect();
+            assert_eq!((entries, state(&batched)), (steps, state(&stepped)));
+            assert!(batched.committed_winner().is_some(), "a full scan commits");
+        }
+    }
+
+    #[test]
+    fn one_random_batch_equals_single_lookups() {
+        let ids = [3, 0, 7, 3, 5].map(ObjectId);
+        let (mut batched, mut stepped) = (AdaptiveAdversary::new(4), AdaptiveAdversary::new(4));
+        for list in 0..2 {
+            let mut grades = Vec::new();
+            batched.random_lookup_many(list, &ids, &mut grades).unwrap();
+            let singles: Vec<Grade> = ids
+                .iter()
+                .map(|&o| stepped.random_lookup(list, o).unwrap())
+                .collect();
+            assert_eq!((grades, state(&batched)), (singles, state(&stepped)));
+        }
+        // The batch stops at the first error; earlier grades stay delivered.
+        let mut grades = Vec::new();
+        let err = batched.random_lookup_many(0, &[1, 99, 2].map(ObjectId), &mut grades);
+        assert!(matches!(err, Err(AccessError::NoSuchObject { .. })));
+        assert_eq!(grades.len(), 1);
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub mod prelude {
     pub use fagin_middleware::{
         AccessError, AccessPolicy, AccessStats, BatchConfig, CostBudget, CostModel, Database,
         DatabaseBuilder, DatabaseShard, Entry, GeneratorSource, Grade, GradedSource,
-        MaterializedSource, Middleware, ObjectId, Session, ShardView, SlotSet, SlotTable,
-        SortedAccessSet, SubsystemMiddleware,
+        MaterializedSource, Middleware, ObjectId, Session, SlotSet, SlotTable, SortedAccessSet,
+        SubsystemMiddleware,
     };
     pub use fagin_obs::{EventKind, FlightRecorder, Histogram, TraceEvent};
     pub use fagin_remote::{

@@ -20,10 +20,16 @@
 //! measurements must agree) rather than exact values, so allocator-internal
 //! details can't flake the build while real regressions — any per-access
 //! allocation scales counts by orders of magnitude — are still caught.
+//!
+//! The file runs without the libtest harness (`harness = false` in the root
+//! `Cargo.toml`): the counter is process-global, and the harness's own
+//! threads allocate while a check measures. [`main`] runs the four checks
+//! in order on the main thread instead, so libtest filters do not apply.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::time::Instant;
 
 use fagin_topk::prelude::*;
 
@@ -56,9 +62,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Serializes the measuring tests (the counter is process-global).
-static GATE: Mutex<()> = Mutex::new(());
-
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.load(Ordering::SeqCst);
     let result = f();
@@ -82,9 +85,7 @@ fn pseudo_db(n: usize, m: usize, salt: u64) -> Database {
     Database::from_f64_columns(&cols).unwrap()
 }
 
-#[test]
 fn ta_steady_state_stepping_allocates_nothing() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let db = pseudo_db(2_000, 3, 41);
     let mut arena = RunScratch::new();
     let mut session = Session::new(&db);
@@ -113,9 +114,7 @@ fn ta_steady_state_stepping_allocates_nothing() {
 /// halt into the preallocated ring — still never touches the heap. The
 /// ring overwrites its oldest slot when full, so even saturating it stays
 /// allocation-free.
-#[test]
 fn ta_steady_state_stepping_stays_alloc_free_with_tracing_enabled() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let db = pseudo_db(2_000, 3, 41);
     let mut arena = RunScratch::new();
     let mut session = Session::new(&db);
@@ -195,9 +194,7 @@ fn steady_run_allocs(
     steady
 }
 
-#[test]
 fn steady_state_runs_cost_a_size_independent_constant() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     type Case = (Box<dyn TopKAlgorithm>, AccessPolicy);
     let cases: Vec<Case> = vec![
         (Box::new(Ta::new()), AccessPolicy::no_wild_guesses()),
@@ -243,9 +240,7 @@ fn steady_state_runs_cost_a_size_independent_constant() {
 /// rationale / stats), not of the engine: the engine side is pinned to zero
 /// by the tests above, and size-independence is asserted across a 4x
 /// database-size spread here too.
-#[test]
 fn service_queries_have_pinned_allocation_budgets() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut per_size = Vec::new();
     for n in [2_000usize, 8_000] {
         let db = Arc::new(pseudo_db(n, 3, 47));
@@ -294,5 +289,46 @@ fn service_queries_have_pinned_allocation_budgets() {
          (small {:?} vs large {:?})",
         per_size[0],
         per_size[1]
+    );
+}
+
+fn main() {
+    let checks: [(&str, fn()); 4] = [
+        (
+            "ta_steady_state_stepping_allocates_nothing",
+            ta_steady_state_stepping_allocates_nothing,
+        ),
+        (
+            "ta_steady_state_stepping_stays_alloc_free_with_tracing_enabled",
+            ta_steady_state_stepping_stays_alloc_free_with_tracing_enabled,
+        ),
+        (
+            "steady_state_runs_cost_a_size_independent_constant",
+            steady_state_runs_cost_a_size_independent_constant,
+        ),
+        (
+            "service_queries_have_pinned_allocation_budgets",
+            service_queries_have_pinned_allocation_budgets,
+        ),
+    ];
+    // `cargo test -- --list` enumerates the checks without running them.
+    if std::env::args().any(|arg| arg == "--list") {
+        for (name, _) in checks {
+            println!("{name}: test");
+        }
+        return;
+    }
+    // Output in libtest's shape, so the run reads like the other suites.
+    println!("\nrunning {} tests", checks.len());
+    let start = Instant::now();
+    for (name, check) in checks {
+        check();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; 0 filtered out; \
+         finished in {:.2}s\n",
+        checks.len(),
+        start.elapsed().as_secs_f64()
     );
 }

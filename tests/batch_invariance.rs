@@ -13,44 +13,10 @@
 //!    budget is enforced inside a batch: a batch is truncated at the
 //!    budget, never blown past it, and the violation surfaces as
 //!    [`AccessError::BudgetExhausted`].
-//!
-//! A `ScalarOnly` wrapper (forwarding only the scalar trait methods, so the
-//! batched defaults kick in) additionally pins the equivalence between the
-//! trait's default batch implementations and the optimized overrides.
 
 use fagin_topk::prelude::*;
 use fagin_topk::workloads::random;
 use proptest::prelude::*;
-
-/// Forwards only the scalar `Middleware` methods, so the batched methods
-/// fall back to the trait's default scalar loops. Running a batched
-/// algorithm through this wrapper vs. directly against the `Session`
-/// overrides must be observationally identical.
-struct ScalarOnly<'a>(Session<'a>);
-
-impl Middleware for ScalarOnly<'_> {
-    fn num_lists(&self) -> usize {
-        self.0.num_lists()
-    }
-    fn num_objects(&self) -> usize {
-        self.0.num_objects()
-    }
-    fn sorted_next(&mut self, list: usize) -> Result<Option<Entry>, AccessError> {
-        self.0.sorted_next(list)
-    }
-    fn random_lookup(&mut self, list: usize, object: ObjectId) -> Result<Grade, AccessError> {
-        self.0.random_lookup(list, object)
-    }
-    fn stats(&self) -> &AccessStats {
-        self.0.stats()
-    }
-    fn policy(&self) -> &AccessPolicy {
-        self.0.policy()
-    }
-    fn position(&self, list: usize) -> usize {
-        self.0.position(list)
-    }
-}
 
 fn answer(out: &TopKOutput) -> Vec<(u32, Option<Grade>)> {
     out.items.iter().map(|i| (i.object.0, i.grade)).collect()
@@ -197,38 +163,6 @@ fn every_algorithm_answers_identically_across_batch_sizes() {
                     "Sharded<TA> {name} k={k} batch={batch}"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn default_batch_impls_equal_session_overrides() {
-    // The trait's default batch methods (scalar loops over a wrapper that
-    // hides the overrides) must be observationally identical to Session's
-    // amortized overrides: same answers, same counters.
-    for (name, db) in &workloads() {
-        for batch in [1usize, 3, 8, 64] {
-            let ta = Ta::new().batched(batch);
-            let mut fast = Session::new(db);
-            let direct = ta.run(&mut fast, &Average, 5).unwrap();
-            let mut shim = ScalarOnly(Session::new(db));
-            let via_defaults = ta.run(&mut shim, &Average, 5).unwrap();
-            assert_eq!(
-                answer(&direct),
-                answer(&via_defaults),
-                "{name} batch={batch} answers"
-            );
-            assert_eq!(
-                direct.stats, via_defaults.stats,
-                "{name} batch={batch} counters"
-            );
-
-            let nra = Nra::new().batched(batch);
-            let mut fast = Session::with_policy(db, AccessPolicy::no_random_access());
-            let direct = nra.run(&mut fast, &Sum, 5).unwrap();
-            let mut shim = ScalarOnly(Session::with_policy(db, AccessPolicy::no_random_access()));
-            let via_defaults = nra.run(&mut shim, &Sum, 5).unwrap();
-            assert_eq!(direct.stats, via_defaults.stats, "NRA {name} batch={batch}");
         }
     }
 }

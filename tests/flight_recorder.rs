@@ -8,6 +8,8 @@
 //!   exactly one `done` last, with the engine's rounds and halt in between
 //!   for cold runs, a hit-stamped `cache_probe` for cache hits, and a
 //!   `coalesce_join` for single-flight riders;
+//! * every access a cold run makes is tallied in the ring, whichever
+//!   algorithm ran;
 //! * the Prometheus endpoint ([`TopKService::metrics_text`]) round-trips
 //!   through the crate's own parser and agrees with [`ServiceMetrics`].
 
@@ -98,6 +100,48 @@ fn every_query_narrates_a_complete_lifecycle() {
         }
     }
     assert_eq!((cold_stories, hit_stories), (2, 1));
+}
+
+/// Every access a cold run makes reaches the ring: the query's
+/// `SortedBatch` and `RandomLookup` tallies sum to its `AccessStats`,
+/// whichever algorithm the planner picks. Runs that issue only single-entry
+/// batches defer them clock-free, and their halt event flushes the tally.
+#[test]
+fn ring_access_tallies_equal_each_querys_stats() {
+    let db = db(400);
+    let avg = || QueryRequest::new(AggSpec::Average, 8);
+    let no_random = AccessPolicy::no_random_access;
+    let cases = [
+        ("TA", avg()),
+        ("CA", avg().with_costs(CostModel::new(1.0, 20.0))),
+        ("NRA", avg().with_policy(no_random()).require_grades(false)),
+        ("StreamCombine", avg().with_policy(no_random())),
+        ("MaxTopK", QueryRequest::new(AggSpec::Max, 8)),
+    ];
+    for (algorithm, req) in cases {
+        let service = TopKService::new(Arc::clone(&db), ServiceConfig::default().with_workers(1));
+        let resp = service.query(req).unwrap();
+        assert!(
+            resp.algorithm.starts_with(algorithm),
+            "the {algorithm} case was planned as {}",
+            resp.algorithm
+        );
+        let events = service.flight_events();
+        let tally = |kind| -> u64 {
+            let of_kind = events.iter().filter(|e| e.kind == kind);
+            of_kind.map(|e| e.count).sum()
+        };
+        let ring = (
+            tally(EventKind::SortedBatch),
+            tally(EventKind::RandomLookup),
+        );
+        assert!(ring.0 > 0, "{algorithm}: the run made sorted accesses");
+        assert_eq!(
+            ring,
+            (resp.stats.sorted_total(), resp.stats.random_total()),
+            "{algorithm}: ring tallies (sorted, random) vs AccessStats"
+        );
+    }
 }
 
 #[test]
